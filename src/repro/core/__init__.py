@@ -9,13 +9,6 @@ Public entry points:
   (Table III experiment).
 """
 
-from repro.core.backend import (
-    ArrayBackend,
-    NumpyBackend,
-    available_backends,
-    get_backend,
-    register_backend,
-)
 from repro.core.config import PartitionConfig
 from repro.core.assignment import (
     random_assignment,
@@ -46,11 +39,6 @@ from repro.core.refinement import refine_greedy
 from repro.core.scipy_optimizer import minimize_assignment_lbfgs, partition_lbfgs
 
 __all__ = [
-    "ArrayBackend",
-    "NumpyBackend",
-    "available_backends",
-    "get_backend",
-    "register_backend",
     "PartitionConfig",
     "random_assignment",
     "normalize_rows",

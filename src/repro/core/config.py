@@ -15,9 +15,9 @@ from repro.utils.errors import PartitionError
 #: Gradient flavors, see :mod:`repro.core.gradients`.
 GRADIENT_MODES = ("paper", "exact")
 
-#: Solver engines, see :mod:`repro.core.optimizer` (``batched``/``loop``)
-#: and :mod:`repro.core.multilevel` (``multilevel``).
-ENGINES = ("batched", "loop", "multilevel")
+#: Solver engines, see :mod:`repro.core.optimizer` (``batched``) and
+#: :mod:`repro.core.multilevel` (``multilevel``).
+ENGINES = ("batched", "multilevel")
 
 
 @dataclass(frozen=True)
@@ -66,17 +66,16 @@ class PartitionConfig:
         Solver engine used by :func:`~repro.core.partitioner.partition`.
         ``"batched"`` (default) runs all restarts in lockstep through
         the fused ``(R, G, K)`` cost/gradient kernel with per-restart
-        convergence masking; ``"loop"`` runs them serially through the
-        legacy two-pass reference solver.  Both produce bit-identical
-        rounded labels for the same seed (see
-        :mod:`repro.core.kernel`).  ``"multilevel"`` accelerates large
-        circuits by heavy-edge coarsening, solving the coarse problem
-        with the batched kernel and warm-starting the standard fine
-        descent from the interpolated solution
-        (:mod:`repro.core.multilevel`); its final refinement is the
-        paper's descent with a short iteration budget
+        convergence masking; each restart's trajectory is bit-identical
+        to a serial :func:`~repro.core.optimizer.minimize_assignment`
+        run from the same stream (see :mod:`repro.core.kernel`).
+        ``"multilevel"`` accelerates large circuits by heavy-edge
+        coarsening, solving the coarse problem with the batched kernel
+        and warm-starting the standard fine descent from the
+        interpolated solution (:mod:`repro.core.multilevel`); its final
+        refinement is the paper's descent with a short iteration budget
         (``multilevel_fine_iterations``) and a capacity-aware rounding,
-        so its labels are not bit-identical to the cold-start engines.
+        so its labels are not bit-identical to the batched engine.
     multilevel_coarsest_nodes:
         Coarsening floor for ``engine="multilevel"``; 0 (default) means
         the automatic ``max(40, 6 K)``.

@@ -121,8 +121,9 @@ def cost_terms(w, edges, bias, area, config):
     """Evaluate all four terms and the weighted total (eq. (8)).
 
     Delegates to :class:`repro.core.kernel.FusedKernel` with a
-    single-restart batch, so the sequential ("loop") solver engine runs
-    bitwise the same arithmetic as the batched engine — the per-term
+    single-restart batch, so the serial reference solver
+    (:func:`~repro.core.optimizer.minimize_assignment`) runs bitwise
+    the same arithmetic as the batched engine — the per-term
     functions above stay as the readable reference implementations
     (equal to the kernel within floating-point reassociation).
     """

@@ -113,8 +113,9 @@ def cost_gradient(w, edges, bias, area, config):
     """Weighted total gradient ``sum_j c_j dFj/dw`` (Algorithm 1, line 18).
 
     Delegates to :class:`repro.core.kernel.FusedKernel` with a
-    single-restart batch, so the sequential ("loop") solver engine runs
-    bitwise the same arithmetic as the batched engine — the per-term
+    single-restart batch, so the serial reference solver
+    (:func:`~repro.core.optimizer.minimize_assignment`) runs bitwise
+    the same arithmetic as the batched engine — the per-term
     ``grad_*`` functions above stay as the readable reference
     implementations (equal to the kernel within floating-point
     reassociation).

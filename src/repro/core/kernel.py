@@ -42,19 +42,13 @@ on that slice alone.  That holds because
   Fortran-ordered) are forced C-contiguous before any last-axis
   reduction, keeping the layout part of the contract true.
 
-The ``engine="batched" | "loop"`` equivalence tests pin this down.
-Because each batch slice is self-contained, the contract extends across
-*jobs*: restarts from many compatible jobs concatenated into one stack
+The engine-equivalence tests pin this down by comparing the batched
+engine against serial single-restart descents
+(:func:`repro.core.optimizer.minimize_assignment`).  Because each batch
+slice is self-contained, the contract extends across *jobs*: restarts
+from many compatible jobs concatenated into one stack
 (:mod:`repro.core.megabatch`) evaluate bitwise identically to each
 job's solo stack.
-
-Array backend
--------------
-All array arithmetic is routed through a pluggable
-:class:`~repro.core.backend.ArrayBackend` (selected via
-``REPRO_BACKEND``; default numpy).  The numpy backend delegates to the
-exact calls this module made before the layer existed, so the numpy
-path — the reference — is bitwise unchanged.
 
 Incidence variants
 ------------------
@@ -72,7 +66,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.assignment import plane_coefficients
-from repro.core.backend import get_backend
 from repro.obs import OBS
 from repro.utils.errors import PartitionError
 
@@ -90,14 +83,13 @@ class EdgeIncidence:
 
     ``out[i] = sum_{e: u_e == i} vals[e] - sum_{e: v_e == i} vals[e]``
 
-    with one segment-sum (``np.add.reduceat`` on the numpy backend)
+    with one segment-sum (``np.add.reduceat``)
     instead of two ``np.add.at`` scatters.  The summation order within a
     gate's segment is fixed by the precomputed permutation, so results
     are reproducible and identical for batched and single evaluations.
     """
 
     __slots__ = (
-        "backend",
         "num_gates",
         "num_edges",
         "u",
@@ -110,16 +102,14 @@ class EdgeIncidence:
     #: Human-readable variant tag (benchmarks and repr).
     variant = "dense"
 
-    def __init__(self, edges, num_gates, backend=None):
-        self.backend = get_backend(backend)
+    def __init__(self, edges, num_gates):
         edges = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
         if edges.size and (edges.min() < 0 or edges.max() >= num_gates):
             raise PartitionError("edge endpoints out of range")
         self.num_gates = int(num_gates)
         self.num_edges = int(edges.shape[0])
-        xp = self.backend.xp
-        self.u = xp.ascontiguousarray(self.backend.from_host(edges[:, 0]))
-        self.v = xp.ascontiguousarray(self.backend.from_host(edges[:, 1]))
+        self.u = np.ascontiguousarray(edges[:, 0])
+        self.v = np.ascontiguousarray(edges[:, 1])
         # The grouping permutation is only needed by scatter_signed (the
         # gradient path); built lazily so cost-only users skip the sort.
         self._order = None
@@ -129,15 +119,14 @@ class EdgeIncidence:
     def _ensure_permutation(self):
         if self._order is not None:
             return
-        xp = self.backend.xp
-        endpoints = xp.concatenate([self.u, self.v])
+        endpoints = np.concatenate([self.u, self.v])
         # Stable sort keeps a deterministic within-gate order (all +u
         # occurrences in edge order, then all -v occurrences).
-        self._order = xp.argsort(endpoints, kind="stable")
-        counts = xp.bincount(endpoints, minlength=self.num_gates)
-        self._touched = xp.flatnonzero(counts > 0)
-        starts = xp.zeros(self.num_gates + 1, dtype=np.intp)
-        xp.cumsum(counts, out=starts[1:])
+        self._order = np.argsort(endpoints, kind="stable")
+        counts = np.bincount(endpoints, minlength=self.num_gates)
+        self._touched = np.flatnonzero(counts > 0)
+        starts = np.zeros(self.num_gates + 1, dtype=np.intp)
+        np.cumsum(counts, out=starts[1:])
         self._starts = starts[:-1][self._touched]
 
     def scatter_signed(self, values):
@@ -145,19 +134,22 @@ class EdgeIncidence:
 
         Returns shape ``(..., G)``; gates with no incident edge get 0.
         """
-        backend = self.backend
-        xp = backend.xp
-        values = backend.asarray(values, dtype=float)
-        out = xp.zeros(values.shape[:-1] + (self.num_gates,), dtype=float)
+        values = np.asarray(values, dtype=float)
+        out = np.zeros(values.shape[:-1] + (self.num_gates,), dtype=float)
         if self.num_edges == 0:
             return out
         self._ensure_permutation()
         if self._touched.size == 0:
             return out
-        signed = xp.concatenate([values, -values], axis=-1)
-        signed = backend.ascontiguousarray(signed[..., self._order])
-        out[..., self._touched] = backend.segment_sum(signed, self._starts)
+        out[..., self._touched] = np.add.reduceat(
+            self._ordered_summands(values), self._starts, axis=-1
+        )
         return out
+
+    def _ordered_summands(self, values):
+        """Signed per-edge values in permutation order, C-contiguous."""
+        signed = np.concatenate([values, -values], axis=-1)
+        return np.ascontiguousarray(signed[..., self._order])
 
 
 class SparseEdgeIncidence(EdgeIncidence):
@@ -183,8 +175,8 @@ class SparseEdgeIncidence(EdgeIncidence):
 
     variant = "sparse"
 
-    def __init__(self, edges, num_gates, backend=None):
-        super().__init__(edges, num_gates, backend=backend)
+    def __init__(self, edges, num_gates):
+        super().__init__(edges, num_gates)
         self._edge_of = None
         self._signs = None
 
@@ -193,27 +185,17 @@ class SparseEdgeIncidence(EdgeIncidence):
             return
         super()._ensure_permutation()
         in_u = self._order < self.num_edges
-        self._edge_of = self.backend.where(in_u, self._order, self._order - self.num_edges)
-        self._signs = self.backend.where(in_u, 1.0, -1.0)
+        self._edge_of = np.where(in_u, self._order, self._order - self.num_edges)
+        self._signs = np.where(in_u, 1.0, -1.0)
 
-    def scatter_signed(self, values):
+    def _ordered_summands(self, values):
         """Identical contract (and bits) as the dense variant."""
-        backend = self.backend
-        xp = backend.xp
-        values = backend.asarray(values, dtype=float)
-        out = xp.zeros(values.shape[:-1] + (self.num_gates,), dtype=float)
-        if self.num_edges == 0:
-            return out
-        self._ensure_permutation()
-        if self._touched.size == 0:
-            return out
-        gathered = backend.ascontiguousarray(values[..., self._edge_of])
+        gathered = np.ascontiguousarray(values[..., self._edge_of])
         gathered *= self._signs
-        out[..., self._touched] = backend.segment_sum(gathered, self._starts)
-        return out
+        return gathered
 
 
-def build_incidence(edges, num_gates, backend=None, sparse=None):
+def build_incidence(edges, num_gates, sparse=None):
     """The incidence structure for ``edges`` over ``num_gates`` gates.
 
     ``sparse=None`` (the default) selects the sparse variant
@@ -225,7 +207,7 @@ def build_incidence(edges, num_gates, backend=None, sparse=None):
     if sparse is None:
         sparse = num_gates > SPARSE_INCIDENCE_THRESHOLD
     cls = SparseEdgeIncidence if sparse else EdgeIncidence
-    return cls(edges, num_gates, backend=backend)
+    return cls(edges, num_gates)
 
 
 @dataclass(frozen=True)
@@ -262,11 +244,9 @@ class FusedKernel:
     is purely array arithmetic on the ``(R, G, K)`` assignment stack.
     """
 
-    def __init__(self, num_planes, edges, bias, area, backend=None, sparse=None):
+    def __init__(self, num_planes, edges, bias, area, sparse=None):
         if num_planes < 1:
             raise PartitionError(f"num_planes must be >= 1, got {num_planes}")
-        self.backend = get_backend(backend)
-        xp = self.backend.xp
         bias = np.asarray(bias, dtype=float)
         area = np.asarray(area, dtype=float)
         if bias.ndim != 1 or area.shape != bias.shape:
@@ -275,13 +255,11 @@ class FusedKernel:
             )
         self.num_planes = int(num_planes)
         self.num_gates = int(bias.shape[0])
-        self.bias = xp.ascontiguousarray(self.backend.from_host(bias))
-        self.area = xp.ascontiguousarray(self.backend.from_host(area))
-        self.incidence = build_incidence(
-            edges, self.num_gates, backend=self.backend, sparse=sparse
-        )
+        self.bias = np.ascontiguousarray(bias)
+        self.area = np.ascontiguousarray(area)
+        self.incidence = build_incidence(edges, self.num_gates, sparse=sparse)
         self.num_edges = self.incidence.num_edges
-        self.coeff = self.backend.from_host(plane_coefficients(self.num_planes))
+        self.coeff = plane_coefficients(self.num_planes)
         # F1/F4 normalizers (zero when degenerate; guarded at use sites).
         self.n1 = self.num_edges * (self.num_planes - 1) ** 4
         self.n4 = self.num_gates * (self.num_planes - 1) ** 2
@@ -292,7 +270,7 @@ class FusedKernel:
 
         A 2-D ``(G, K)`` input is promoted to a single-restart batch.
         """
-        w = self.backend.asarray(w, dtype=float)
+        w = np.asarray(w, dtype=float)
         if w.ndim == 2:
             w = w[None]
         if w.ndim != 3 or w.shape[1:] != (self.num_gates, self.num_planes):
@@ -300,7 +278,7 @@ class FusedKernel:
                 f"w must have shape (R, {self.num_gates}, {self.num_planes}) "
                 f"or ({self.num_gates}, {self.num_planes}), got {w.shape}"
             )
-        return self.backend.ascontiguousarray(w)
+        return np.ascontiguousarray(w)
 
     # ------------------------------------------------------------------
     def _variance_pieces(self, w, per_gate_weights):
@@ -315,16 +293,15 @@ class FusedKernel:
         """
         # Batched vec-mat product: one identically-sized gemv per restart,
         # bitwise equal to a single-restart ``weights @ w``.
-        backend = self.backend
-        per_plane = backend.matmul(per_gate_weights, w)  # (R, K)
+        per_plane = np.matmul(per_gate_weights, w)  # (R, K)
         mean = per_plane.mean(axis=-1)  # (R,)
         degenerate = mean == 0.0
-        safe_mean = backend.where(degenerate, 1.0, mean)
+        safe_mean = np.where(degenerate, 1.0, mean)
         deviation = per_plane - mean[:, None]
         variance = (deviation * deviation).mean(axis=-1)
         normalizer = (self.num_planes - 1) * safe_mean**2
-        term = backend.where(degenerate, 0.0, variance / normalizer)
-        scale = backend.where(degenerate, 0.0, 2.0 / (self.num_planes * normalizer))
+        term = np.where(degenerate, 0.0, variance / normalizer)
+        scale = np.where(degenerate, 0.0, 2.0 / (self.num_planes * normalizer))
         return term, deviation, scale
 
     # ------------------------------------------------------------------
@@ -353,8 +330,6 @@ class FusedKernel:
         w = self.check_w(w)
         num_restarts = w.shape[0]
         num_planes = self.num_planes
-        backend = self.backend
-        xp = backend.xp
         if OBS.enabled:
             # The hottest call site in the package: keep the disabled
             # path to the single attribute check above.
@@ -362,16 +337,16 @@ class FusedKernel:
             OBS.metrics.counter("kernel.restart_evaluations").inc(num_restarts)
             if not want_gradient:
                 OBS.metrics.counter("kernel.cost_only_evaluations").inc()
-        zeros_r = xp.zeros(num_restarts)
+        zeros_r = np.zeros(num_restarts)
 
         if num_planes == 1:
             # A single plane has no inter-plane cost, no imbalance and no
             # relaxed integer constraint; everything is exactly zero.
             terms = BatchedCostTerms(zeros_r, zeros_r, zeros_r, zeros_r, zeros_r.copy())
-            return terms, (xp.zeros_like(w) if want_gradient else None)
+            return terms, (np.zeros_like(w) if want_gradient else None)
 
         # Shared intermediates, computed once per evaluation.
-        labels = backend.matmul(w, self.coeff)  # (R, G), batched gemv
+        labels = np.matmul(w, self.coeff)  # (R, G), batched gemv
         row_mean = w.mean(axis=-1)  # (R, G)
 
         # --- F1 (eq. (4)) cost ----------------------------------------
@@ -382,7 +357,7 @@ class FusedKernel:
             # Advanced indexing may return Fortran-ordered buffers whose
             # last-axis reduction order differs from the 1-D case; force
             # C order to keep the bitwise equivalence contract.
-            diff = backend.ascontiguousarray(
+            diff = np.ascontiguousarray(
                 labels[:, self.incidence.u] - labels[:, self.incidence.v]
             )  # (R, E)
             # Pow-free factorization: diff^4 = (diff^2)^2 and
@@ -439,22 +414,22 @@ class FusedKernel:
         else:  # pragma: no cover - config validates this
             raise PartitionError(f"unknown gradient mode {config.gradient_mode!r}")
 
-        left = xp.empty((num_restarts, self.num_gates, 4))
+        left = np.empty((num_restarts, self.num_gates, 4))
         if per_gate is None:
             left[..., 0] = 0.0
         else:
-            xp.multiply(per_gate, config.c1 * (4.0 / self.n1), out=left[..., 0])
+            np.multiply(per_gate, config.c1 * (4.0 / self.n1), out=left[..., 0])
         left[..., 1] = self.bias
         left[..., 2] = self.area
         left[..., 3] = a4 * row_mean + b4
 
-        right = xp.empty((num_restarts, 4, num_planes))
+        right = np.empty((num_restarts, 4, num_planes))
         right[:, 0, :] = self.coeff
         right[:, 1, :] = config.c2 * scale2[:, None] * dev2
         right[:, 2, :] = config.c3 * scale3[:, None] * dev3
         right[:, 3, :] = 1.0
 
         # One (G, 4) x (4, K) gemm per restart.
-        gradient = backend.matmul(left, right)
+        gradient = np.matmul(left, right)
         gradient += cw * w
         return terms, gradient

@@ -52,7 +52,7 @@ from repro.utils.rng import make_rng, spawn_rngs
 
 #: Config fields that may differ between packed jobs (everything else
 #: must match for the solves to share one kernel).
-_PACK_FREE_FIELDS = ("restarts", "seed")
+PACK_FREE_FIELDS = ("restarts", "seed")
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ class SolveSpec:
 
 def _comparable_config(config):
     """The config with pack-free fields neutralized, for equality checks."""
-    return config.with_(**{name: getattr(PartitionConfig(), name) for name in _PACK_FREE_FIELDS})
+    return config.with_(**{name: getattr(PartitionConfig(), name) for name in PACK_FREE_FIELDS})
 
 
 def _resolve_pinned(netlist, num_planes, pinned):
@@ -92,7 +92,7 @@ def _resolve_pinned(netlist, num_planes, pinned):
     return pinned_index
 
 
-def partition_packed(specs, backend=None):
+def partition_packed(specs):
     """Solve a compatible group of :class:`SolveSpec` jobs as one batch.
 
     Returns one :class:`~repro.core.partitioner.PartitionResult` per
@@ -178,7 +178,6 @@ def partition_packed(specs, backend=None):
             rngs=streams,
             pinned=pinned_index,
             restart_tags=tags,
-            backend=backend,
         )
 
     # Unpack: each job finalizes its own trace slice through the same

@@ -64,12 +64,11 @@ def default_coarsest_nodes(num_planes):
 
 def minimize_assignment_multilevel(
     num_planes, edges, bias, area, config, rngs=None, pinned=None, restarts=None,
-    coarsen_rng=None, backend=None,
+    coarsen_rng=None,
 ):
     """Run warm-started coarse-to-fine solves for all restarts.
 
-    Parameters match :func:`repro.core.optimizer.minimize_assignment_batch`
-    (``backend`` selects the array backend for every level's solve);
+    Parameters match :func:`repro.core.optimizer.minimize_assignment_batch`;
     ``coarsen_rng`` seeds the heavy-edge matching order (one extra
     deterministic stream so restart initializations stay identical to
     the other engines' for the same seed).
@@ -94,8 +93,7 @@ def minimize_assignment_multilevel(
         # would be barely smaller than the fine one): run the plain
         # uncapped batched solve instead.
         return minimize_assignment_batch(
-            num_planes, edges, bias_arr, area, config, rngs=rngs, pinned=pinned,
-            backend=backend,
+            num_planes, edges, bias_arr, area, config, rngs=rngs, pinned=pinned
         )
     with OBS.trace.span("multilevel_coarsen", gates=num_gates) as span:
         levels, maps = coarsen_problem(
@@ -114,8 +112,7 @@ def minimize_assignment_multilevel(
         # start would just be a second cold solve, so skip straight to
         # the plain batched engine.
         return minimize_assignment_batch(
-            num_planes, edges, bias_arr, area, config, rngs=rngs, pinned=pinned,
-            backend=backend,
+            num_planes, edges, bias_arr, area, config, rngs=rngs, pinned=pinned
         )
 
     composed = compose_maps(maps)
@@ -131,7 +128,6 @@ def minimize_assignment_multilevel(
             config,
             rngs=rngs,
             pinned=coarse_pinned,
-            backend=backend,
         )
 
     # Prolongation: every fine gate takes its supernode's relaxed row.
@@ -156,8 +152,7 @@ def minimize_assignment_multilevel(
     )
     with OBS.trace.span("multilevel_fine_solve", gates=num_gates):
         traces = minimize_assignment_batch(
-            num_planes, edges, bias_arr, area, fine_config, w0=stack, pinned=pinned,
-            backend=backend,
+            num_planes, edges, bias_arr, area, fine_config, w0=stack, pinned=pinned
         )
 
     if OBS.enabled:

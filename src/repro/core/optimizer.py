@@ -16,21 +16,22 @@ an iteration safety cap, an explicit learning rate (the paper folds it
 into ``c1..c4``), an optional row re-normalization projection, and a
 recorded cost trace for the convergence figure.
 
-Two solver engines implement the same loop:
+Two functions implement the same loop:
 
-* :func:`minimize_assignment` — the legacy per-restart reference: one
+* :func:`minimize_assignment` — the per-restart reference: one
   descent per call, cost and gradient evaluated as two separate passes
   through :func:`repro.core.cost.cost_terms` /
   :func:`repro.core.gradients.cost_gradient`, each re-validating the
-  problem and rebuilding kernel state per call.
-* :func:`minimize_assignment_batch` — the production engine: all ``R``
+  problem and rebuilding kernel state per call.  The equivalence
+  tests and :mod:`repro.baselines.multilevel` call it directly.
+* :func:`minimize_assignment_batch` — the solver engine: all ``R``
   restarts advance in lockstep on an ``(R, G, K)`` stack through the
   fused one-pass :class:`~repro.core.kernel.FusedKernel`, with
   per-restart convergence masking (a restart that satisfies the margin
   criterion freezes — its ``w``, history and final terms stop changing —
   while the remaining restarts keep iterating on a compacted stack).
 
-Both engines perform bitwise-identical float arithmetic per restart
+Both perform bitwise-identical float arithmetic per restart
 (see the equivalence contract in :mod:`repro.core.kernel`), so for the
 same seeds they yield the same traces and the same rounded labels.
 """
@@ -142,9 +143,9 @@ def _clamp_pinned(w, pinned):
 def minimize_assignment(num_planes, edges, bias, area, config, rng=None, w0=None, pinned=None):
     """Run Algorithm 1 once and return a :class:`GradientDescentTrace`.
 
-    This is the legacy ``engine="loop"`` reference implementation; the
-    batched engine (:func:`minimize_assignment_batch`) produces
-    bit-identical results for the same initialization.
+    This is the single-restart reference implementation: the batched
+    engine (:func:`minimize_assignment_batch`) produces bit-identical
+    results for the same initialization.
 
     Parameters
     ----------
@@ -181,11 +182,11 @@ def minimize_assignment(num_planes, edges, bias, area, config, rng=None, w0=None
 
     obs = OBS if OBS.enabled else None
     if obs is not None:
-        run = obs.telemetry.begin_run("loop", 1)
+        run = obs.telemetry.begin_run("serial", 1)
 
     trace = GradientDescentTrace(w=w, telemetry=[] if obs is not None else None)
     cost_old = np.inf
-    with OBS.trace.span("descent", engine="loop"):
+    with OBS.trace.span("descent", engine="serial"):
         for _ in range(config.max_iterations):
             terms = cost_terms(w, edges, bias, area, config)
             cost_new = terms.total
@@ -253,7 +254,6 @@ def minimize_assignment_batch(
     pinned=None,
     restarts=None,
     restart_tags=None,
-    backend=None,
 ):
     """Run Algorithm 1 from several restarts in lockstep (``engine="batched"``).
 
@@ -292,9 +292,6 @@ def minimize_assignment_batch(
         The mega-batch packer passes each job's *local* restart indices
         here so a packed restart reseeds from exactly the stream its
         solo solve would use.
-    backend:
-        Array backend (instance or registered name) executing the
-        descent; ``None`` consults ``REPRO_BACKEND`` (default numpy).
 
     Returns
     -------
@@ -304,7 +301,7 @@ def minimize_assignment_batch(
     """
     bias, pinned = _validate_problem(num_planes, bias, pinned)
     num_gates = bias.shape[0]
-    kernel = FusedKernel(num_planes, edges, bias, area, backend=backend)
+    kernel = FusedKernel(num_planes, edges, bias, area)
 
     if w0 is not None:
         w0 = np.array(w0, dtype=float)
@@ -327,9 +324,7 @@ def minimize_assignment_batch(
         )
 
     num_restarts = stack.shape[0]
-    stack = _clamp_pinned(
-        kernel.backend.ascontiguousarray(kernel.backend.from_host(stack)), pinned
-    )
+    stack = _clamp_pinned(np.ascontiguousarray(stack), pinned)
     if restart_tags is None:
         tags = np.arange(num_restarts)
     else:
@@ -365,7 +360,7 @@ def minimize_assignment_batch(
         )
 
     for r in range(num_restarts):
-        traces[r].w = np.ascontiguousarray(kernel.backend.to_host(final_w[r]))
+        traces[r].w = np.ascontiguousarray(final_w[r])
         if last_eval[r] is not None:
             # A quarantined restart that never produced a finite
             # evaluation has no terms to materialize.
@@ -407,13 +402,11 @@ def _descend_batch(kernel, config, traces, final_w, last_eval, active, live, cos
     that quarantined: frozen with ``converged=False`` on a uniform
     assignment, while the healthy restarts keep descending untouched.
     On a fully finite problem none of this triggers and the arithmetic
-    is bitwise identical to the sequential engine.
+    is bitwise identical to :func:`minimize_assignment`.
     """
-    backend = kernel.backend
-    xp = backend.xp
     num_restarts = len(traces)
     num_gates, num_planes = live.shape[1], live.shape[2]
-    first_cost = xp.full(num_restarts, np.nan)
+    first_cost = np.full(num_restarts, np.nan)
 
     for _ in range(config.max_iterations):
         if active.size == 0:
@@ -427,11 +420,11 @@ def _descend_batch(kernel, config, traces, final_w, last_eval, active, live, cos
         # next evaluation, so the cost check covers both one iteration
         # late at worst (the cap-exit path below catches the final
         # iteration's stragglers).
-        cost_bad = ~xp.isfinite(cost_new)
+        cost_bad = ~np.isfinite(cost_new)
         baseline = first_cost[active]
         diverged = (
             ~cost_bad
-            & xp.isfinite(baseline)
+            & np.isfinite(baseline)
             & (baseline > 0.0)
             & (cost_new > baseline * DIVERGENCE_FACTOR)
         )
@@ -465,7 +458,7 @@ def _descend_batch(kernel, config, traces, final_w, last_eval, active, live, cos
                 # reseeded restart takes its first real step next
                 # iteration, from cost_old = inf like any fresh start.
                 gradient[j] = 0.0
-            cost_new = xp.where(bad, np.inf, cost_new)
+            cost_new = np.where(bad, np.inf, cost_new)
 
         good = ~bad
         for j, r in enumerate(active):
@@ -479,9 +472,9 @@ def _descend_batch(kernel, config, traces, final_w, last_eval, active, live, cos
         # each restart's first pass, so nothing stops before one step;
         # poisoned rows carry cost_new = inf, so they never stop here).
         old = cost_old[active]
-        finite = xp.isfinite(old) & (old != 0.0)
-        ratio = xp.abs(
-            xp.where(finite, cost_new, 0.0) / xp.where(finite, old, 1.0) - 1.0
+        finite = np.isfinite(old) & (old != 0.0)
+        ratio = np.abs(
+            np.where(finite, cost_new, 0.0) / np.where(finite, old, 1.0) - 1.0
         )
         stop = (finite & (ratio <= config.margin)) | ((old == 0.0) & (cost_new == 0.0))
 
@@ -489,11 +482,11 @@ def _descend_batch(kernel, config, traces, final_w, last_eval, active, live, cos
             # Read-only pass over this iteration's evaluation, taken
             # before the in-place descent step reuses the gradient
             # buffer.  A restart stopping this iteration never computes
-            # a step, so (matching the loop engine) its grad_norm is
+            # a step, so (matching minimize_assignment) its grad_norm is
             # recorded as None.  Poisoned rows are skipped — their term
             # values are non-finite and the restart restarts from
             # scratch anyway.
-            grad_norms = xp.sqrt(backend.einsum("rgk,rgk->r", gradient, gradient))
+            grad_norms = np.sqrt(np.einsum("rgk,rgk->r", gradient, gradient))
             alive = int(active.size)
             for j, r in enumerate(active):
                 if bad[j]:
@@ -517,7 +510,7 @@ def _descend_batch(kernel, config, traces, final_w, last_eval, active, live, cos
             active = active[keep]
             if active.size == 0:
                 break
-            live = backend.ascontiguousarray(live[keep])
+            live = np.ascontiguousarray(live[keep])
             gradient = gradient[keep]
             cost_new = cost_new[keep]
             bad = bad[keep]
@@ -529,7 +522,7 @@ def _descend_batch(kernel, config, traces, final_w, last_eval, active, live, cos
         # leaves their fresh initialization untouched.
         gradient *= -config.learning_rate
         gradient += live
-        live = backend.clip(gradient, 0.0, 1.0, out=gradient)
+        live = np.clip(gradient, 0.0, 1.0, out=gradient)
         if config.renormalize_rows:
             live = normalize_rows(live)
         if pinned:
@@ -540,12 +533,12 @@ def _descend_batch(kernel, config, traces, final_w, last_eval, active, live, cos
         cost_old[active] = cost_new
 
     # Restarts stopped by the iteration cap keep their last stepped w,
-    # exactly like the sequential loop.  A gradient that went non-finite
+    # exactly like minimize_assignment.  A gradient that went non-finite
     # on the very last iteration leaves w poisoned with no further cost
     # evaluation to flag it, so quarantine those rows here.
     for j, r in enumerate(active):
         r = int(r)
-        if xp.isfinite(live[j]).all():
+        if np.isfinite(live[j]).all():
             final_w[r] = live[j]
         else:
             traces[r].quarantined = True

@@ -63,13 +63,6 @@ class EnvVar:
 #: Every recognized ``REPRO_*`` variable.  Keep sorted by name within
 #: each subsystem block; docs/service.md renders this table.
 ENV_VARS = (
-    # -- core solver ---------------------------------------------------
-    EnvVar("REPRO_BACKEND", "backend name", "numpy",
-           "repro.core.backend",
-           "Array backend executing the solver kernels (matmul/einsum/"
-           "segment-sum).  Must be a name registered with "
-           "repro.core.backend.register_backend; only 'numpy' ships "
-           "built in."),
     # -- cache ---------------------------------------------------------
     EnvVar("REPRO_CACHE", "flag", "enabled",
            "repro.cache",

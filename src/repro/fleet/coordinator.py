@@ -110,6 +110,7 @@ class FleetCoordinator:
         self._index = 0
         self._running = False
         self._reaper = None
+        self._reaper_stop = None
 
     # -- metrics / events ----------------------------------------------
     def _inc_locked(self, name, amount=1):
@@ -137,8 +138,12 @@ class FleetCoordinator:
             if self._running:
                 return self
             self._running = True
+        # A fresh event per start, so a reaper that outlived a timed-out
+        # join can never be revived by a later start().
+        self._reaper_stop = threading.Event()
         self._reaper = threading.Thread(
-            target=self._reaper_loop, name="repro-fleet-reaper", daemon=True
+            target=self._reaper_loop, args=(self._reaper_stop,),
+            name="repro-fleet-reaper", daemon=True,
         )
         self._reaper.start()
         return self
@@ -148,6 +153,7 @@ class FleetCoordinator:
             self._running = False
             self._cond.notify_all()
         if self._reaper is not None:
+            self._reaper_stop.set()
             self._reaper.join(timeout)
             self._reaper = None
         return self
@@ -398,13 +404,10 @@ class FleetCoordinator:
                 self._cond.notify_all()
         return reclaimed
 
-    def _reaper_loop(self):
-        while True:
-            with self._cond:
-                if not self._running:
-                    return
+    def _reaper_loop(self, stop):
+        while not stop.is_set():
             self.reap_expired()
-            time.sleep(self._reap_interval)
+            stop.wait(self._reap_interval)
 
     # -- introspection ---------------------------------------------------
     def pending_count(self):

@@ -14,9 +14,9 @@ solves, so checkpoints, caches and the service result store never see
 the difference.  Only jobs that the packer can prove compatible are
 grouped — ``kind="partition"``, the gradient method, the batched
 engine, the same circuit/planes/refine/pinned and the same config up to
-``restarts``/``seed``.  Everything else (plan jobs, the loop or
-multilevel engines, mixed configs) falls through to the normal per-job
-path untouched.
+``restarts``/``seed``.  Everything else (plan jobs, the multilevel
+engine, mixed configs) falls through to the normal per-job path
+untouched.
 """
 
 import hashlib
@@ -25,14 +25,10 @@ import json
 from repro import envcfg
 from repro.cache.store import canonical_jsonable
 from repro.core.config import PartitionConfig
-from repro.core.megabatch import SolveSpec, partition_packed
+from repro.core.megabatch import PACK_FREE_FIELDS, SolveSpec, partition_packed
 
 #: Default maximum number of jobs packed into one group.
 DEFAULT_MEGABATCH_LIMIT = 16
-
-#: Config fields allowed to differ between packed jobs; must match
-#: ``repro.core.megabatch._PACK_FREE_FIELDS``.
-_PACK_FREE_FIELDS = ("restarts", "seed")
 
 
 def megabatch_enabled(enabled=None, environ=None):
@@ -63,7 +59,7 @@ def _config_key(config):
         {
             name: getattr(config, name)
             for name in config.__dataclass_fields__
-            if name not in _PACK_FREE_FIELDS + ("extra",)
+            if name not in PACK_FREE_FIELDS + ("extra",)
         }
     )
     return json.dumps(payload, sort_keys=True)

@@ -1,6 +1,6 @@
 """Solver telemetry: per-iteration records of Algorithm 1's descent.
 
-When observability is enabled, both solver engines
+When observability is enabled, both descent functions
 (:func:`repro.core.optimizer.minimize_assignment` and
 :func:`~repro.core.optimizer.minimize_assignment_batch`) emit one
 record per restart per iteration into the process-wide
@@ -10,9 +10,9 @@ record per restart per iteration into the process-wide
 A record is a plain dict with the fields of :data:`ITERATION_FIELDS`:
 
 ``run``
-    Monotonic id of the solver call within the process (one
-    ``partition()`` with the loop engine makes one run per restart; the
-    batched engine makes a single run for the whole stack).
+    Monotonic id of the solver call within the process (each serial
+    :func:`~repro.core.optimizer.minimize_assignment` call makes one
+    run; the batched engine makes a single run for the whole stack).
 ``restart``
     Restart index within the run.
 ``iteration``
@@ -29,7 +29,7 @@ A record is a plain dict with the fields of :data:`ITERATION_FIELDS`:
     computing it).
 ``active_restarts``
     Restarts still descending when the record was taken (always 1 for
-    the loop engine).
+    a serial :func:`~repro.core.optimizer.minimize_assignment` run).
 
 The schema of the exported trace file is versioned by
 :data:`TRACE_SCHEMA_VERSION`; bump it whenever a field is added,

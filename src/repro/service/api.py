@@ -311,28 +311,6 @@ def request_key(normalized):
     return hashlib.sha256(blob).hexdigest()
 
 
-def pack_signature(normalized):
-    """Mega-batch grouping key of a validated request, or ``None``.
-
-    Two queued requests with equal signatures may share one packed
-    solve (:mod:`repro.harness.megabatch`): the signature is the
-    canonical request with ``seed`` dropped, restricted to the shapes
-    the packer accepts — gradient partition jobs on the batched engine
-    with ``num_planes >= 2``.  Everything else returns ``None`` and
-    runs solo.
-    """
-    if normalized.get("kind") != "partition":
-        return None
-    if normalized.get("method") != "gradient":
-        return None
-    if normalized.get("engine") != "batched":
-        return None
-    if normalized.get("num_planes", 0) < 2:
-        return None
-    stripped = {key: value for key, value in normalized.items() if key != "seed"}
-    return json.dumps(canonical_jsonable(stripped), sort_keys=True)
-
-
 def request_to_job(normalized):
     """The :class:`~repro.harness.runner.SuiteJob` of a validated request.
 

@@ -60,7 +60,7 @@ from repro.harness import megabatch as megabatch_mod
 from repro.harness.checkpoint import payload_to_jsonable
 from repro.harness.runner import run_jobs
 from repro.obs import NOOP_SPAN, OBS, TraceContext, Tracer
-from repro.service.api import pack_signature, request_to_job
+from repro.service.api import request_to_job
 from repro.service.errors import (
     NotFoundError,
     QueueFullError,
@@ -74,6 +74,17 @@ JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
 #: Finished jobs beyond this many are evicted oldest-first, so a
 #: long-running server's job table cannot grow without bound.
 MAX_FINISHED_JOBS = 1024
+
+
+def _pack_key(job):
+    """The runner's mega-batch grouping key of a queued job, or ``None``.
+
+    Only partition requests are converted: sweep requests have no
+    :class:`~repro.harness.runner.SuiteJob` form and never pack.
+    """
+    if job.request.get("kind") != "partition":
+        return None
+    return megabatch_mod.job_pack_key(request_to_job(job.request))
 
 
 class Job:
@@ -442,9 +453,9 @@ class JobManager:
 
         With mega-batching off this degenerates to a one-job batch.
         With it on, the queue is drained of jobs whose
-        :func:`~repro.service.api.pack_signature` matches the head
-        job's (up to ``megabatch_limit``); non-matching jobs keep
-        their relative order at the front of the queue.
+        :func:`_pack_key` matches the head job's (up to
+        ``megabatch_limit``); non-matching jobs keep their relative
+        order at the front of the queue.
         """
         job = self._next_job()
         if job is None:
@@ -452,12 +463,12 @@ class JobManager:
         batch = [job]
         if self.megabatch:
             with self._cond:
-                signature = pack_signature(job.request)
-                if signature is not None and self._queue:
+                key = _pack_key(job)
+                if key is not None and self._queue:
                     keep = deque()
                     while self._queue and len(batch) < self.megabatch_limit:
                         candidate = self._queue.popleft()
-                        if pack_signature(candidate.request) == signature:
+                        if _pack_key(candidate) == key:
                             candidate.state = "running"
                             candidate.started_at = time.time()
                             batch.append(candidate)

@@ -178,21 +178,12 @@ def test_convergence_report_command(capsys):
     assert not obs.enabled()
 
 
-def test_convergence_report_loop_engine_matches_batched(capsys):
-    assert main(["convergence-report", "KSA4", "-k", "3", "--seed", "1",
-                 "--engine", "batched"]) == 0
-    batched = capsys.readouterr().out
-    assert main(["convergence-report", "KSA4", "-k", "3", "--seed", "1",
-                 "--engine", "loop"]) == 0
-    loop = capsys.readouterr().out
-    # Bitwise engine equivalence: the per-iteration numbers must agree.
-    # The trailing "active" column is engine-specific (live restarts in
-    # the batch vs. always 1 for the sequential loop), so drop it.
-    def table(text):
-        rows = [l for l in text.splitlines() if l.lstrip().startswith("|")]
-        return [r.rsplit("|", 2)[0] for r in rows]
-
-    assert table(batched) == table(loop)
+@pytest.mark.parametrize("command", ["partition", "convergence-report"])
+def test_loop_engine_is_an_argparse_error(command, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "KSA4", "-k", "3", "--engine", "loop"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'loop'" in capsys.readouterr().err
 
 
 def test_convergence_report_export(tmp_path, capsys):

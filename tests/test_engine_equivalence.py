@@ -1,11 +1,12 @@
-"""Equivalence of the two solver engines (``PartitionConfig.engine``).
+"""Equivalence of the batched engine with the serial reference solver.
 
-The batched fused-kernel engine must reproduce the sequential loop
-engine *exactly*: for the same seeds, every restart's cost history is
-identical (the margin stop is a knife-edge ratio comparison, so even a
-1-ulp drift could change the stop iteration) and the rounded labels are
-bitwise the same.  These tests pin that contract across plane counts,
-row renormalization, pinned gates and gradient flavors.
+The batched fused-kernel engine must reproduce serial single-restart
+descents (:func:`~repro.core.optimizer.minimize_assignment`) *exactly*:
+for the same seeds, every restart's cost history is identical (the
+margin stop is a knife-edge ratio comparison, so even a 1-ulp drift
+could change the stop iteration) and the rounded labels are bitwise the
+same.  These tests pin that contract across plane counts, row
+renormalization, pinned gates and gradient flavors.
 """
 
 import numpy as np
@@ -15,7 +16,8 @@ from hypothesis import strategies as st
 
 from repro.core.config import PartitionConfig
 from repro.core.optimizer import minimize_assignment, minimize_assignment_batch
-from repro.core.partitioner import partition
+from repro.core.partitioner import finalize_traces, partition
+from repro.utils.errors import PartitionError
 from repro.utils.rng import make_rng, spawn_rngs
 
 
@@ -87,28 +89,51 @@ def test_optimizer_engines_identical_with_pinned():
             assert trace_batch.w[gate].sum() == 1.0
 
 
+def _serial_partition(netlist, num_planes, config, pinned=None):
+    """``partition()`` rebuilt from serial single-restart descents.
+
+    Spawns the restart streams exactly as :func:`partition` does, runs
+    one :func:`minimize_assignment` per stream and finalizes through the
+    shared :func:`finalize_traces` tail.
+    """
+    pinned_index = {
+        netlist.gate(gate).index: plane for gate, plane in (pinned or {}).items()
+    }
+    edges = netlist.edge_array()
+    bias = netlist.bias_vector_ma()
+    area = netlist.area_vector_um2()
+    traces = [
+        minimize_assignment(
+            num_planes, edges, bias, area, config, rng=stream, pinned=pinned_index
+        )
+        for stream in spawn_rngs(make_rng(config.seed), config.restarts)
+    ]
+    return finalize_traces(
+        netlist, num_planes, config, traces, dict(pinned_index), edges, bias, area
+    )
+
+
+def _assert_results_equal(serial, batched):
+    assert np.array_equal(serial.labels, batched.labels)
+    assert serial.restart_costs == batched.restart_costs
+    assert serial.trace.cost_history == batched.trace.cost_history
+    assert serial.repaired_gates == batched.repaired_gates
+
+
 @pytest.mark.parametrize("num_planes", [2, 5, 8])
 def test_partition_engines_identical(mixed_netlist, num_planes):
     config = PartitionConfig(seed=2020, restarts=4, max_iterations=300)
-    loop = partition(mixed_netlist, num_planes, config=config.with_(engine="loop"))
-    batched = partition(mixed_netlist, num_planes, config=config.with_(engine="batched"))
-    assert np.array_equal(loop.labels, batched.labels)
-    assert loop.restart_costs == batched.restart_costs
-    assert loop.trace.cost_history == batched.trace.cost_history
-    assert loop.repaired_gates == batched.repaired_gates
+    serial = _serial_partition(mixed_netlist, num_planes, config)
+    batched = partition(mixed_netlist, num_planes, config=config)
+    _assert_results_equal(serial, batched)
 
 
 def test_partition_engines_identical_with_pinned(mixed_netlist):
     config = PartitionConfig(seed=5, restarts=3, max_iterations=200)
     pinned = {0: 1, 3: 0}
-    loop = partition(
-        mixed_netlist, 4, config=config.with_(engine="loop"), pinned=pinned
-    )
-    batched = partition(
-        mixed_netlist, 4, config=config.with_(engine="batched"), pinned=pinned
-    )
-    assert np.array_equal(loop.labels, batched.labels)
-    assert loop.restart_costs == batched.restart_costs
+    serial = _serial_partition(mixed_netlist, 4, config, pinned=pinned)
+    batched = partition(mixed_netlist, 4, config=config, pinned=pinned)
+    _assert_results_equal(serial, batched)
     for gate, plane in pinned.items():
         assert batched.labels[gate] == plane
 
@@ -118,10 +143,16 @@ def test_engines_identical_across_gradient_modes(mixed_netlist, mode):
     config = PartitionConfig(
         seed=42, restarts=2, max_iterations=200, gradient_mode=mode
     )
-    loop = partition(mixed_netlist, 3, config=config.with_(engine="loop"))
-    batched = partition(mixed_netlist, 3, config=config.with_(engine="batched"))
-    assert np.array_equal(loop.labels, batched.labels)
-    assert loop.trace.cost_history == batched.trace.cost_history
+    serial = _serial_partition(mixed_netlist, 3, config)
+    batched = partition(mixed_netlist, 3, config=config)
+    _assert_results_equal(serial, batched)
+
+
+@pytest.mark.parametrize("engine", ["loop", "serial"])
+def test_serial_engine_value_is_rejected(engine):
+    """The serial reference is a function, not a ``PartitionConfig`` engine."""
+    with pytest.raises(PartitionError, match="engine must be one of"):
+        PartitionConfig(engine=engine)
 
 
 @given(

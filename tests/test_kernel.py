@@ -5,7 +5,13 @@ import pytest
 
 from repro.core import assignment, cost, gradients
 from repro.core.config import PartitionConfig
-from repro.core.kernel import EdgeIncidence, FusedKernel
+from repro.core.kernel import (
+    SPARSE_INCIDENCE_THRESHOLD,
+    EdgeIncidence,
+    FusedKernel,
+    SparseEdgeIncidence,
+    build_incidence,
+)
 from repro.utils.errors import PartitionError
 
 CONFIG = PartitionConfig(c1=1.0, c2=1.0, c3=1.0, c4=1.0)
@@ -167,3 +173,80 @@ def test_batched_terms_term_materializes_scalars():
     scalar = terms.term(0)
     assert isinstance(scalar.total, float)
     assert scalar.total == float(terms.total[0])
+
+
+# ----------------------------------------------------------------------
+# Dense vs sparse EdgeIncidence
+# ----------------------------------------------------------------------
+def _random_edges(num_gates, num_edges, seed):
+    rng = np.random.default_rng(seed)
+    edges = rng.integers(0, num_gates, size=(num_edges * 2, 2))
+    edges = edges[edges[:, 0] != edges[:, 1]][:num_edges]
+    return np.ascontiguousarray(edges)
+
+
+@pytest.mark.parametrize("batch_shape", [(), (1,), (7,), (3, 4)])
+def test_sparse_incidence_bitwise_matches_dense(batch_shape):
+    edges = _random_edges(50, 120, seed=2)
+    dense = EdgeIncidence(edges, 50)
+    sparse = SparseEdgeIncidence(edges, 50)
+    values = np.random.default_rng(3).normal(size=batch_shape + (edges.shape[0],))
+    assert np.array_equal(
+        dense.scatter_signed(values), sparse.scatter_signed(values)
+    )
+
+
+def test_sparse_incidence_no_edges():
+    sparse = SparseEdgeIncidence(np.zeros((0, 2), dtype=np.intp), 4)
+    assert np.array_equal(sparse.scatter_signed(np.zeros(0)), np.zeros(4))
+
+
+def test_build_incidence_threshold_selection():
+    edges = np.array([[0, 1], [1, 2]], dtype=np.intp)
+    assert build_incidence(edges, 10).variant == "dense"
+    assert build_incidence(edges, 10, sparse=True).variant == "sparse"
+    assert build_incidence(edges, 10, sparse=False).variant == "dense"
+    big = SPARSE_INCIDENCE_THRESHOLD + 1
+    assert build_incidence(edges, big).variant == "sparse"
+    assert build_incidence(edges, SPARSE_INCIDENCE_THRESHOLD).variant == "dense"
+
+
+def test_fused_kernel_sparse_bitwise_identical():
+    rng = np.random.default_rng(9)
+    num_gates, num_planes = 40, 4
+    edges = _random_edges(num_gates, 90, seed=11)
+    bias = rng.uniform(0.05, 2.0, size=num_gates)
+    area = rng.uniform(10.0, 500.0, size=num_gates)
+    w = rng.dirichlet(np.ones(num_planes), size=(5, num_gates))
+    config = PartitionConfig()
+    dense_k = FusedKernel(num_planes, edges, bias, area, sparse=False)
+    sparse_k = FusedKernel(num_planes, edges, bias, area, sparse=True)
+    assert dense_k.incidence.variant == "dense"
+    assert sparse_k.incidence.variant == "sparse"
+    dense_terms, dense_grad = dense_k.cost_and_gradient(w, config)
+    sparse_terms, sparse_grad = sparse_k.cost_and_gradient(w, config)
+    for name in ("f1", "f2", "f3", "f4", "total"):
+        assert np.array_equal(
+            getattr(dense_terms, name), getattr(sparse_terms, name)
+        )
+    assert np.array_equal(dense_grad, sparse_grad)
+
+
+def test_partition_sparse_matches_dense_end_to_end(
+    mixed_netlist, fast_config, monkeypatch
+):
+    """A full solve above the sparse threshold lands on identical labels.
+
+    Lowering the threshold makes the 40-gate fixture take the sparse
+    incidence path inside :func:`minimize_assignment_batch`; the result
+    must be bitwise the dense run's.
+    """
+    from repro.core import kernel as kernel_mod
+    from repro.core.partitioner import partition
+
+    dense = partition(mixed_netlist, 3, config=fast_config, seed=5)
+    monkeypatch.setattr(kernel_mod, "SPARSE_INCIDENCE_THRESHOLD", 1)
+    sparse = partition(mixed_netlist, 3, config=fast_config, seed=5)
+    assert np.array_equal(dense.trace.w, sparse.trace.w)
+    assert np.array_equal(dense.labels, sparse.labels)
+    assert dense.restart_costs == sparse.restart_costs

@@ -134,7 +134,7 @@ def test_packed_rejects_wrong_engine_and_k(mixed_netlist):
         partition_packed(
             [SolveSpec(
                 netlist=mixed_netlist, num_planes=3,
-                config=FAST.with_(engine="loop"),
+                config=FAST.with_(engine="multilevel"),
             )]
         )
     with pytest.raises(PartitionError, match="num_planes"):
@@ -163,7 +163,7 @@ def test_job_pack_key_rejects_unpackable_jobs():
     assert job_pack_key(SuiteJob(kind="plan", circuit="KSA4")) is None
     assert job_pack_key(_job(method="spectral")) is None
     assert job_pack_key(_job(planes=1)) is None
-    assert job_pack_key(_job(config=FAST.with_(engine="loop"))) is None
+    assert job_pack_key(_job(config=FAST.with_(engine="multilevel"))) is None
 
 
 def test_job_pack_key_separates_distinct_problems():
@@ -267,6 +267,44 @@ def test_job_manager_megabatch_drains_compatible_queue():
     snapshot = metrics.as_dict()
     assert snapshot["service.megabatch.groups"]["value"] >= 1
     assert snapshot["service.megabatch.packed_jobs"]["value"] >= 2
+
+
+def test_job_manager_packs_seed_variants_around_a_queued_sweep():
+    """Partition requests differing only in ``seed`` share one group.
+
+    A sweep request queued between them has no runner-job form; the
+    drain must skip it as unpackable and still run it solo.
+    """
+    from repro.obs import MetricsRegistry
+    from repro.service.api import request_key, validate_request
+    from repro.service.jobs import JobManager
+
+    metrics = MetricsRegistry()
+    mgr = JobManager(
+        workers=1, queue_size=8, retries=0, backoff=0.0,
+        metrics=metrics, megabatch=True,
+    )
+    bodies = [
+        {"circuit": "KSA4", "num_planes": 3, "seed": 1},
+        {"kind": "sweep", "circuit": "KSA4", "k_values": [2],
+         "weight_ratios": [1.0]},
+        {"circuit": "KSA4", "num_planes": 3, "seed": 2},
+    ]
+    jobs = []
+    for body in bodies:
+        normalized = validate_request(body)
+        job, _ = mgr.submit(request_key(normalized), normalized)
+        jobs.append(job)
+    mgr.start()
+    try:
+        for job in jobs:
+            assert job.done_event.wait(120)
+            assert job.state == "done", job.error
+    finally:
+        mgr.stop()
+    snapshot = metrics.as_dict()
+    assert snapshot["service.megabatch.groups"]["value"] == 1
+    assert snapshot["service.megabatch.packed_jobs"]["value"] == 2
 
 
 def test_job_manager_megabatch_forced_off_for_process_isolation():

@@ -123,7 +123,7 @@ def test_request_key_is_stable_and_sensitive():
     assert key == request_key(validate_request(_req()))
     assert key != request_key(validate_request(_req(seed=6)))
     assert key != request_key(validate_request(_req(num_planes=4)))
-    assert key != request_key(validate_request(_req(engine="loop")))
+    assert key != request_key(validate_request(_req(engine="multilevel")))
     assert key != request_key(validate_request(_req(refine=True)))
 
 
@@ -150,12 +150,21 @@ def test_schema_versions_fields():
 
 def test_request_to_job_matches_cli_job():
     """The built job is field-for-field the one the CLI path builds."""
-    job = request_to_job(validate_request(_req(engine="loop", refine=True)))
+    job = request_to_job(validate_request(_req(engine="multilevel", refine=True)))
     cli_job = SuiteJob(
         kind="partition", circuit="KSA4", num_planes=3, method="gradient",
-        seed=5, config=PartitionConfig(engine="loop"), refine=True,
+        seed=5, config=PartitionConfig(engine="multilevel"), refine=True,
     )
     assert job == cli_job
+
+
+def test_loop_engine_request_is_a_400():
+    """The serial ``loop`` engine is gone; asking for it is a bad request."""
+    body = _req()
+    body["engine"] = "loop"
+    with pytest.raises(BadRequestError, match="engine must be one of") as excinfo:
+        validate_request(body)
+    assert excinfo.value.status == 400
 
 
 def test_request_to_job_inline_netlist():
