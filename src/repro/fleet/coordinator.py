@@ -9,8 +9,9 @@ Failure handling reuses the PR-4 taxonomy end to end:
 
 * a worker reporting a failed attempt (``crashed`` / ``timed-out`` /
   ``invalid-result`` / ``cache-corrupt``) charges one retry and the job
-  is requeued after the runner's exponential backoff
-  (``backoff * 2**(n-1)``);
+  is requeued after the backoff of the runner's
+  :class:`~repro.harness.runner.RetryPolicy` — the one ledger of a
+  fleet attempt (worker nodes run their lease with ``retries=0``);
 * a returned payload is validated with
   :func:`repro.harness.runner.validate_payload` — garbage counts as an
   ``invalid-result`` attempt, exactly like a corrupt pool worker;
@@ -30,13 +31,7 @@ import time
 import uuid
 
 from repro.harness.checkpoint import payload_from_jsonable
-from repro.harness.runner import (
-    JOB_ERROR_KINDS,
-    JobFailure,
-    resolve_backoff,
-    resolve_retries,
-    validate_payload,
-)
+from repro.harness.runner import JOB_ERROR_KINDS, RetryPolicy, validate_payload
 from repro.harness.wire import job_to_wire
 from repro.fleet.protocol import resolve_heartbeat, resolve_lease_ttl
 from repro.utils.errors import ReproError
@@ -44,24 +39,18 @@ from repro.utils.errors import ReproError
 #: Upper bound on one lease long-poll, whatever the worker asked for.
 MAX_LEASE_WAIT = 30.0
 
-#: Finished tasks beyond this many are evicted oldest-first.
-MAX_FINISHED_TASKS = 1024
-
 
 class FleetTask:
     """One job's journey through the fleet queue."""
 
-    __slots__ = ("id", "key", "job", "request", "trace", "tracing", "job_id",
-                 "index", "state", "attempts", "failures", "not_before",
-                 "payload", "snapshot", "error", "done_event", "worker")
+    __slots__ = ("key", "job", "request", "job_id", "index", "state",
+                 "attempts", "failures", "not_before", "payload", "snapshot",
+                 "error", "done_event")
 
-    def __init__(self, key, job, request, trace, tracing, job_id, index):
-        self.id = uuid.uuid4().hex[:16]
+    def __init__(self, key, job, request, job_id, index):
         self.key = key
-        self.job = job                # SuiteJob
+        self.job = job                # SuiteJob (trace_context = deep capture)
         self.request = request        # canonical request dict (store meta)
-        self.trace = trace            # TraceContext wire dict or None
-        self.tracing = bool(tracing)  # deep solver capture requested
         self.job_id = job_id          # service Job id (event correlation)
         self.index = index            # submit order (JobFailure.index)
         self.state = "pending"        # pending | leased | done | failed
@@ -72,7 +61,6 @@ class FleetTask:
         self.snapshot = None          # worker obs snapshot (deep tracing)
         self.error = None
         self.done_event = threading.Event()
-        self.worker = None            # worker id of the completing node
 
     def wait(self, timeout=None):
         """Block until resolved; ``(payload, snapshot)`` or ReproError."""
@@ -93,8 +81,7 @@ class FleetCoordinator:
                  backoff=None, metrics=None, events=None, reap_interval=None):
         self.lease_ttl = resolve_lease_ttl(lease_ttl)
         self.heartbeat_s = resolve_heartbeat(heartbeat, self.lease_ttl)
-        self.retries = resolve_retries(retries)
-        self.backoff = resolve_backoff(backoff)
+        self.policy = RetryPolicy(retries, backoff)
         self.metrics = metrics
         self.events = events
         self._reap_interval = (
@@ -104,8 +91,6 @@ class FleetCoordinator:
         self._cond = threading.Condition()
         self._pending = []            # FleetTasks awaiting a lease
         self._leases = {}             # lease id -> (task, worker_id, deadline)
-        self._tasks = {}              # task id -> FleetTask
-        self._finished_order = []     # finished task ids, oldest first
         self._workers = {}            # worker id -> roster record
         self._index = 0
         self._running = False
@@ -159,8 +144,7 @@ class FleetCoordinator:
         return self
 
     # -- JobManager side -----------------------------------------------
-    def submit(self, key, suite_job, request, trace=None, tracing=False,
-               job_id=None):
+    def submit(self, key, suite_job, request, job_id=None):
         """Queue one job for the fleet; returns its :class:`FleetTask`.
 
         Dedup by content key happens upstream in the
@@ -169,10 +153,8 @@ class FleetCoordinator:
         """
         self.start()
         with self._cond:
-            task = FleetTask(key, suite_job, request, trace, tracing,
-                             job_id, self._index)
+            task = FleetTask(key, suite_job, request, job_id, self._index)
             self._index += 1
-            self._tasks[task.id] = task
             self._pending.append(task)
             self._inc_locked("fleet.jobs.submitted")
             self._refresh_gauges_locked()
@@ -217,8 +199,6 @@ class FleetCoordinator:
             "heartbeat_s": self.heartbeat_s,
             "job": job_to_wire(task.job),
             "request": task.request,
-            "trace": task.trace,
-            "tracing": task.tracing,
         }
 
     def lease(self, worker_id, max_jobs=1, wait=0.0):
@@ -308,10 +288,9 @@ class FleetCoordinator:
                     task.state = "done"
                     task.payload = decoded
                     task.snapshot = snapshot
-                    task.worker = worker_id
                     record["completed"] += 1
                     self._inc_locked("fleet.completions")
-                    self._finish_locked(task)
+                    task.done_event.set()
                     finish = ("fleet.completed", task,
                               {"worker": worker_id, "attempt": task.attempts})
                     status = "accepted"
@@ -339,11 +318,11 @@ class FleetCoordinator:
     # -- failure accounting --------------------------------------------
     def _fail_attempt_locked(self, task, kind, message):
         """Charge one failed attempt; requeue or exhaust the task."""
-        failure = JobFailure(index=task.index, kind=kind,
-                             attempt=task.attempts, message=message)
+        failure, delay = self.policy.charge(task.index, kind, task.attempts,
+                                            message)
         task.failures.append(failure)
         self._inc_locked(f"fleet.failures.{kind}")
-        if len(task.failures) > self.retries:
+        if delay is None:
             task.state = "failed"
             history = "; ".join(
                 f"attempt {f.attempt}: {f.kind}: {f.message}"
@@ -351,29 +330,20 @@ class FleetCoordinator:
             )
             task.error = (
                 f"fleet job failed after {task.attempts} attempt(s) "
-                f"({self.retries} retries): {history}"
+                f"({self.policy.retries} retries): {history}"
             )
             self._inc_locked("fleet.jobs.failed")
-            self._finish_locked(task)
+            task.done_event.set()
             self._emit("fleet.failed", task, kind=kind, attempts=task.attempts)
             return "failed"
-        retry_n = len(task.failures)
         task.state = "pending"
-        task.not_before = time.time() + self.backoff * (2 ** (retry_n - 1))
+        task.not_before = time.time() + delay
         self._pending.append(task)
         self._inc_locked("fleet.requeues")
         self._inc_locked("fleet.retries")
         self._emit("fleet.requeued", task, kind=kind, attempt=task.attempts,
                    message=message)
         return "requeued"
-
-    def _finish_locked(self, task):
-        task.done_event.set()
-        self._finished_order.append(task.id)
-        while len(self._finished_order) > MAX_FINISHED_TASKS:
-            evicted = self._finished_order.pop(0)
-            if evicted != task.id:
-                self._tasks.pop(evicted, None)
 
     # -- reaper ---------------------------------------------------------
     def reap_expired(self, now=None):
@@ -413,10 +383,6 @@ class FleetCoordinator:
     def pending_count(self):
         with self._cond:
             return len(self._pending)
-
-    def leased_count(self):
-        with self._cond:
-            return len(self._leases)
 
     def workers_snapshot(self):
         """Roster + queue state for ``/fleet/v1/workers`` and ``/healthz``."""

@@ -18,13 +18,12 @@ One lease grant is::
     {"lease": "<id>", "key": "<request key>", "attempt": n,
      "deadline_s": <ttl>, "heartbeat_s": <period>,
      "job": <repro.harness.wire.job_to_wire dict>,
-     "request": <canonical request dict>,       # result-store meta
-     "trace": <TraceContext.to_wire dict>|None, # cross-node tracing
-     "tracing": bool}                           # deep capture requested
+     "request": <canonical request dict>}       # result-store meta
 
 The job travels in the :mod:`repro.harness.wire` form, so the worker
 executes exactly the :class:`~repro.harness.runner.SuiteJob` the
 coordinator built — the bitwise-parity guarantee of the whole fleet.
+A deep-traced job carries its ``trace_context`` inside that form.
 """
 
 import os

@@ -4,10 +4,15 @@ A :class:`FleetWorker` is a pull-based execution node: it long-polls
 ``POST /fleet/v1/lease`` on the coordinator, executes each leased job
 through the exact :func:`repro.harness.runner.run_jobs` path every
 other execution mode uses (so payloads are bitwise-identical to a local
-run, and ``REPRO_MEGABATCH`` packing applies to a multi-job lease),
-publishes the payload into the shared content-addressed result store,
-and reports back with ``POST /fleet/v1/complete``.  A daemon thread
-heartbeats every active lease at the coordinator-provided period.
+run, deep-trace capture is the runner's, and ``REPRO_MEGABATCH``
+packing applies to a multi-job lease), and reports back with
+``POST /fleet/v1/complete``.  A daemon thread heartbeats every active
+lease at the coordinator-provided period.
+
+A lease is exactly one attempt: ``run_jobs`` runs with ``retries=0``
+and a failure is reported with its taxonomy kind, so the coordinator's
+retry policy is the only ledger.  The coordinator alone writes the
+result store (it is the node that answers requests).
 
 Fault injection (``REPRO_FAULT``) is honored *at the node level*: the
 plan is parsed once at startup and removed from the worker's own
@@ -41,23 +46,30 @@ from repro.fleet.protocol import (
     resolve_poll,
     resolve_worker_id,
 )
-from repro.obs import OBS, TraceContext
 from repro.utils.errors import ReproError
+
+
+def _failed_attempt(error, index):
+    """Job ``index``'s :class:`~repro.harness.runner.JobFailure` in a
+    raised ``run_jobs`` error, or ``None`` (the job did not fail, or the
+    error is not a :class:`~repro.harness.runner.JobError`)."""
+    for failure in getattr(error, "failures", ()):
+        if failure.index == index:
+            return failure
+    return None
 
 
 class FleetWorker:
     """One pull-based execution node; see the module docstring."""
 
     def __init__(self, coordinator_url, worker_id=None, max_inflight=None,
-                 poll=None, store=None, fault_plan=None, verbose=False):
+                 poll=None, fault_plan=None, verbose=False):
         from repro.service.client import ServiceClient
-        from repro.service.store import ResultStore
 
         self.client = ServiceClient(coordinator_url)
         self.worker_id = resolve_worker_id(worker_id)
         self.max_inflight = resolve_max_inflight(max_inflight)
         self.poll = resolve_poll(poll)
-        self.store = store if store is not None else ResultStore()
         self.verbose = verbose
         if fault_plan is None:
             # Claim the node's fault plan for ourselves: the runner
@@ -147,57 +159,33 @@ class FleetWorker:
             "ok": False, "kind": kind, "message": message,
         })
 
-    def _capture(self, lease):
-        """Worker-side deep-trace capture context, or ``None``."""
-        if not lease.get("tracing") or not lease.get("trace"):
-            return None
-        ctx = TraceContext.from_wire(lease["trace"])
-        if ctx is None or OBS.enabled:
-            return None
-        return ctx
-
     def _execute_lease(self, lease):
-        """Run one leased job and report the outcome."""
+        """Run one leased job (one attempt) and report the outcome."""
         index = self._job_index
         self._job_index += 1
         fate = self._apply_pre_fault(lease, index)
         if fate == "failed":
             return
+        snaps = []
         try:
-            suite_job = job_from_wire(lease["job"])
-            ctx = self._capture(lease)
-            snapshot = None
-            if ctx is not None:
-                OBS.reset()
-                OBS.enable()
-                OBS.trace.context = ctx
-                try:
-                    payloads = run_jobs([suite_job], jobs=1)
-                    snapshot = OBS.snapshot(
-                        origin=f"fleet/{self.worker_id}/{lease['lease']}"
-                    )
-                finally:
-                    OBS.disable(reset=True)
-            else:
-                payloads = run_jobs([suite_job], jobs=1)
-            payload = payloads[0]
+            # A deep-traced job carries its trace context, so the runner
+            # captures it and hands the snapshot to the sink.
+            payload = run_jobs([job_from_wire(lease["job"])], jobs=1,
+                               retries=0, snapshot_sink=snaps.append)[0]
         except ReproError as error:
-            self._complete_failure(lease, "crashed", str(error))
+            failure = _failed_attempt(error, 0)
+            self._complete_failure(lease, failure.kind if failure else "crashed",
+                                   str(error))
             return
+        jsonable = payload_to_jsonable(payload)
         if fate == "corrupt":
-            jsonable = fault_mod.corrupt_payload(payload_to_jsonable(payload))
-        else:
-            jsonable = payload_to_jsonable(payload)
-            # Publish into the shared content-addressed store so any
-            # node (coordinator included) answers repeat requests.
-            self.store.put(lease["key"], payload,
-                           meta={"request": lease.get("request")})
+            jsonable = fault_mod.corrupt_payload(jsonable)
         body = {
             "worker": self.worker_id, "lease": lease["lease"],
             "ok": True, "payload": jsonable,
         }
-        if snapshot is not None:
-            body["snapshot"] = snapshot
+        if snaps:
+            body["snapshot"] = snaps[0]
         outcome = self._post("/fleet/v1/complete", body)
         self.jobs_executed += 1
         self._log(f"completed lease {lease['lease']} "
@@ -209,27 +197,28 @@ class FleetWorker:
         This is the fleet's mega-batch seam: with ``REPRO_MEGABATCH``
         on, compatible jobs of one lease round pack into one batched
         kernel invocation (per-job payloads stay bitwise-identical —
-        the runner's contract).  Any failure falls back to the per-job
-        path, which also handles fault injection and deep tracing.
+        the runner's contract).  A job that failed its one attempt is
+        reported with its kind; the others lost their payloads with the
+        raised run and re-run through the per-job path.
         """
         try:
             suite_jobs = [job_from_wire(lease["job"]) for lease in leases]
-            payloads = run_jobs(suite_jobs, jobs=1)
-        except ReproError:
-            for lease in leases:
-                self._execute_lease(lease)
+            payloads = run_jobs(suite_jobs, jobs=1, retries=0)
+        except ReproError as error:
+            for position, lease in enumerate(leases):
+                failure = _failed_attempt(error, position)
+                if failure is None:
+                    self._execute_lease(lease)
+                else:
+                    self._complete_failure(lease, failure.kind, failure.message)
             return
         self._job_index += len(leases)
         for lease, payload in zip(leases, payloads):
-            self.store.put(lease["key"], payload,
-                           meta={"request": lease.get("request")})
             self._post("/fleet/v1/complete", {
                 "worker": self.worker_id, "lease": lease["lease"],
                 "ok": True, "payload": payload_to_jsonable(payload),
             })
             self.jobs_executed += 1
-            with self._active_lock:
-                self._active.pop(lease["lease"], None)
 
     # -- main loop ------------------------------------------------------
     def run_once(self):
@@ -248,7 +237,7 @@ class FleetWorker:
                 self._active[lease["lease"]] = True
         self._ensure_heartbeats()
         try:
-            traced = any(l.get("tracing") and l.get("trace") for l in leases)
+            traced = any(l["job"].get("trace_context") for l in leases)
             if len(leases) > 1 and self.fault_plan is None and not traced:
                 self._execute_batch(leases)
             else:
@@ -256,8 +245,6 @@ class FleetWorker:
                     if self._stop.is_set() or self._frozen.is_set():
                         break
                     self._execute_lease(lease)
-                    with self._active_lock:
-                        self._active.pop(lease["lease"], None)
         finally:
             with self._active_lock:
                 for lease in leases:
@@ -285,41 +272,3 @@ class FleetWorker:
 
     def stop(self):
         self._stop.set()
-
-
-def main(argv=None):
-    """``python -m repro.fleet.worker`` — the standalone worker entry."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="repro-fleet-worker",
-        description="pull-based execution node of the repro-gpp fleet",
-    )
-    parser.add_argument("--coordinator", required=True, metavar="URL",
-                        help="coordinator base URL, e.g. http://127.0.0.1:8731")
-    parser.add_argument("--id", default=None,
-                        help="worker id (default REPRO_FLEET_WORKER_ID, "
-                        "else <hostname>-<pid>)")
-    parser.add_argument("--max-inflight", type=int, default=None,
-                        help="jobs leased per round trip (default "
-                        "REPRO_FLEET_MAX_INFLIGHT, else 2)")
-    parser.add_argument("--poll", type=float, default=None,
-                        help="idle lease long-poll seconds (default "
-                        "REPRO_FLEET_POLL, else 2)")
-    parser.add_argument("--verbose", action="store_true",
-                        help="log every lease and completion")
-    args = parser.parse_args(argv)
-    worker = FleetWorker(
-        args.coordinator, worker_id=args.id, max_inflight=args.max_inflight,
-        poll=args.poll, verbose=args.verbose,
-    )
-    print(f"repro-gpp fleet worker {worker.worker_id} ready", flush=True)
-    try:
-        worker.run()
-    except KeyboardInterrupt:
-        worker.stop()
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -38,7 +38,10 @@ shape into :class:`SuiteJob` descriptions and fans them out over a
   job, and ships a :func:`repro.obs.snapshot` back with its payload; the
   parent folds the snapshot of each job's *successful* attempt in
   job-index order via :func:`repro.obs.merge_snapshot` (exactly-once
-  per origin, so retries or repeated merges never double-count).
+  per origin, so retries or repeated merges never double-count).  A job
+  carrying a ``trace_context`` is captured the same way inline.
+* **one retry ledger** — :class:`RetryPolicy` owns the exhaustion rule
+  and the backoff formula, here and in the fleet coordinator.
 * **caching synergy** — workers build netlists through
   :func:`repro.circuits.suite.build_circuit`, so they share the on-disk
   artifact cache (:mod:`repro.cache`); a warm cache turns each worker's
@@ -246,6 +249,31 @@ class JobError(ReproError):
         self.failures = tuple(failures)
 
 
+class RetryPolicy:
+    """The one retry/backoff rule: :func:`run_jobs` and the fleet
+    coordinator both charge failed attempts through :meth:`charge`.
+    ``retries`` / ``backoff`` resolve via :func:`resolve_retries` /
+    :func:`resolve_backoff`."""
+
+    def __init__(self, retries=None, backoff=None):
+        self.retries = resolve_retries(retries)
+        self.backoff = resolve_backoff(backoff)
+
+    def charge(self, index, kind, attempt, message):
+        """Classify failed attempt number ``attempt`` (1-based) of job
+        ``index``; returns ``(JobFailure, delay)``.
+
+        ``delay`` is the backoff before the retry — ``backoff *
+        2**(attempt-1)`` — or ``None`` once the job has failed more than
+        ``retries`` times.
+        """
+        failure = JobFailure(index=index, kind=kind, attempt=attempt,
+                             message=str(message))
+        if attempt > self.retries:
+            return failure, None
+        return failure, self.backoff * (2.0 ** (attempt - 1))
+
+
 @dataclass
 class RunReport:
     """Outcome summary of one :func:`run_jobs` call.
@@ -424,38 +452,48 @@ def _classify_exception(exc):
 
 
 def _worker_run(capture, plan, run_id, index, attempt, job, base_ctx=None):
-    """Pool entry point: execute one job attempt with a fresh obs window.
+    """Pool entry point: execute one job attempt.
 
     ``base_ctx`` is the parent process's trace-context wire dict (when
-    it had one); a job's own ``trace_context`` wins over it.  An active
+    it had one); a job's own ``trace_context`` wins over it.  A worker
+    records only what its parent asked for.
+    """
+    if not capture:
+        OBS.disable(reset=True)
+    fault = plan.fault_for(index, attempt) if plan is not None else None
+    wire = job.trace_context if job.trace_context is not None else base_ctx
+    return _attempt(job, fault, wire, run_id, index, attempt, capture)
+
+
+def _attempt(job, fault, wire, run_id, index, attempt, capture=False):
+    """Execute one attempt of ``job``: ``(payload, snapshot | None)``.
+
+    ``fault`` is the injected fault kind, if any.  ``capture`` — or a
+    trace-context ``wire`` dict, which is only ever attached by a caller
+    that wants the spans back — records the attempt in a fresh window
+    of the ``OBS`` singleton and returns the window's snapshot.  The
     context is namespaced by ``job<index>/a<attempt>`` so concurrent
     workers (and retried attempts) derive disjoint span ids that all
-    parent back to the carried span — and it force-enables capture even
-    when the parent had tracing off, because a context is only ever
-    attached by a caller that wants the worker's spans back.
+    parent back to the carried span.  The pool worker and the inline
+    path share this one capture rule.
     """
-    OBS.reset()
-    wire = job.trace_context if job.trace_context is not None else base_ctx
+    if fault is not None and fault != "corrupt":
+        fault_mod.raise_fault(fault)
     ctx = TraceContext.from_wire(wire) if wire is not None else None
-    if ctx is not None:
-        ctx = ctx.namespaced(f"job{index}/a{attempt}")
-    if capture or ctx is not None:
+    if not capture and ctx is None:
+        payload, snap = execute_job(job), None
+    else:
+        OBS.reset()
         OBS.enable()
         if ctx is not None:
-            OBS.trace.context = ctx
-    else:
-        OBS.disable()
-    kind = plan.fault_for(index, attempt) if plan is not None else None
-    if kind is not None and kind != "corrupt":
-        fault_mod.raise_fault(kind)
-    payload = execute_job(job)
-    if kind == "corrupt":
+            OBS.trace.context = ctx.namespaced(f"job{index}/a{attempt}")
+        try:
+            payload = execute_job(job)
+            snap = OBS.snapshot(origin=f"{run_id}/job{index}/a{attempt}")
+        finally:
+            OBS.disable(reset=True)
+    if fault == "corrupt":
         payload = fault_mod.corrupt_payload(payload)
-    snap = (
-        OBS.snapshot(origin=f"{run_id}/job{index}/a{attempt}")
-        if OBS.enabled
-        else None
-    )
     return payload, snap
 
 
@@ -491,11 +529,11 @@ def _shutdown_pool(pool, kill=False):
 class _RunState:
     """Mutable bookkeeping of one :func:`run_jobs` call."""
 
-    def __init__(self, job_list, retries, backoff, report):
+    def __init__(self, job_list, policy, report):
         self.job_list = job_list
-        self.retries = retries
-        self.backoff = backoff
+        self.policy = policy
         self.report = report
+        self.run_id = uuid.uuid4().hex  # snapshot origin namespace
         self.results = {}      # index -> validated payload
         self.snaps = {}        # index -> obs snapshot of the successful attempt
         self.attempts = {}     # index -> failed-attempt count so far
@@ -507,15 +545,14 @@ class _RunState:
         retry, or ``None`` when the job just exhausted its retries."""
         attempt = self.attempts.get(index, 0) + 1
         self.attempts[index] = attempt
-        self.report.failures.append(
-            JobFailure(index=index, kind=kind, attempt=attempt, message=str(message))
-        )
+        failure, delay = self.policy.charge(index, kind, attempt, message)
+        self.report.failures.append(failure)
         if OBS.enabled:
             OBS.metrics.counter(
                 "runner.failures." + kind.replace("-", "_")
             ).inc()
         log = obs_events.default_events()
-        retrying = attempt <= self.retries
+        retrying = delay is not None
         if log.enabled:
             log.emit(
                 "runner.attempt_failed" if retrying else "runner.job_failed",
@@ -526,9 +563,9 @@ class _RunState:
             self.report.retries += 1
             if OBS.enabled:
                 OBS.metrics.counter("runner.retries").inc()
-            return self.backoff * (2.0 ** (attempt - 1))
-        self.report.failed_jobs.append(index)
-        return None
+        else:
+            self.report.failed_jobs.append(index)
+        return delay
 
     def accept(self, index, payload, snap=None):
         """Record a validated payload (and checkpoint it)."""
@@ -560,24 +597,24 @@ def _run_inline(state, pending, plan):
     ``timed-out`` failure without sleeping so inline fault tests stay
     fast, and ``kill`` degrades to ``crash`` (hard-exiting the caller's
     process would be worse than the fault being simulated).
+
+    A job carrying a ``trace_context`` is captured like on the pool
+    path, unless a user capture (``REPRO_TRACE``) already owns the
+    singleton — then the job records into that capture.
     """
     for index in pending:
         job = state.job_list[index]
         while True:
             attempt = state.next_attempt(index)
             kind = plan.fault_for(index, attempt) if plan is not None else None
-            delay = None
-            if kind in ("hang",):
+            if kind == "hang":
                 delay = state.record_failure(index, "timed-out", "injected hang (inline)")
             else:
+                wire = None if OBS.enabled else job.trace_context
                 try:
-                    if kind in ("crash", "kill"):
-                        raise fault_mod.InjectedFault(f"injected {kind} (inline)")
-                    if kind == "interrupt":
-                        raise KeyboardInterrupt("injected interrupt")
-                    payload = execute_job(job)
-                    if kind == "corrupt":
-                        payload = fault_mod.corrupt_payload(payload)
+                    payload, snap = _attempt(
+                        job, "crash" if kind == "kill" else kind, wire,
+                        state.run_id, index, attempt)
                 except KeyboardInterrupt:
                     raise
                 except Exception as exc:
@@ -585,7 +622,7 @@ def _run_inline(state, pending, plan):
                 else:
                     reason = validate_payload(job, payload)
                     if reason is None:
-                        state.accept(index, payload)
+                        state.accept(index, payload, snap)
                         break
                     delay = state.record_failure(index, "invalid-result", reason)
             if delay is None:
@@ -606,7 +643,6 @@ def _run_pool(state, pending, max_workers, capture, timeout, plan, base_ctx=None
     in-flight job (the culprit is indistinguishable); innocent jobs
     displaced by a teardown are resubmitted without being charged.
     """
-    run_id = uuid.uuid4().hex
     ready = deque((index, 0.0) for index in pending)  # (index, not-before)
     in_flight = {}  # future -> (index, deadline or None)
     pool = None
@@ -643,7 +679,7 @@ def _run_pool(state, pending, max_workers, capture, timeout, plan, base_ctx=None
                 job = state.job_list[index]
                 attempt = state.next_attempt(index)
                 future = ensure_pool().submit(
-                    _worker_run, capture, plan, run_id, index, attempt, job,
+                    _worker_run, capture, plan, state.run_id, index, attempt, job,
                     base_ctx,
                 )
                 in_flight[future] = (index, now + timeout if timeout else None)
@@ -813,11 +849,12 @@ def run_jobs(job_list, jobs=None, timeout=None, retries=None, backoff=None,
         charging attempts.  Skipped entirely when a fault plan is
         active — chaos semantics are defined per job attempt.
     snapshot_sink:
-        A callable receiving each worker obs snapshot (in job-index
+        A callable receiving each captured obs snapshot (in job-index
         order) *instead of* merging it into the process-wide ``OBS``
-        singleton.  The partitioning service uses this to route worker
-        spans into its private per-server tracer without touching the
-        singleton.
+        singleton: pool-worker snapshots, and on the inline path the
+        window of each job carrying a ``trace_context``.  The
+        partitioning service and the fleet worker use this to route a
+        traced job's solver spans into their own sinks.
 
     Raises
     ------
@@ -830,14 +867,13 @@ def run_jobs(job_list, jobs=None, timeout=None, retries=None, backoff=None,
     job_list = list(job_list)
     jobs = resolve_jobs(jobs)
     timeout = resolve_timeout(timeout)
-    retries = resolve_retries(retries)
-    backoff = resolve_backoff(backoff)
+    policy = RetryPolicy(retries, backoff)
     if fault_plan is None:
         fault_plan = fault_mod.plan_from_env()
 
     report = RunReport(total=len(job_list), checkpoint_path=checkpoint)
     _LAST_REPORT = report
-    state = _RunState(job_list, retries, backoff, report)
+    state = _RunState(job_list, policy, report)
 
     if checkpoint:
         state.checkpoint = SuiteCheckpoint(checkpoint)
@@ -916,7 +952,7 @@ def run_jobs(job_list, jobs=None, timeout=None, retries=None, backoff=None,
             details.append(detail)
         raise JobError(
             f"{len(set(report.failed_jobs))} of {len(job_list)} suite jobs failed "
-            f"after {retries} retries — " + "; ".join(details),
+            f"after {policy.retries} retries — " + "; ".join(details),
             failures=report.failures,
         )
 

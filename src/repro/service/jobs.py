@@ -26,7 +26,7 @@ additionally serialized by a dedicated lock — trace capture costs
 concurrency, which is fine for its debugging use; with capture off
 (the default) workers run fully in parallel.
 
-Observability (this PR's substrate; see docs/observability.md):
+Observability (see docs/observability.md):
 
 * every lifecycle transition emits into the server's
   :class:`~repro.obs.events.EventLog` (``queued`` → ``leased`` →
@@ -38,16 +38,17 @@ Observability (this PR's substrate; see docs/observability.md):
   the Prometheus exposition of ``GET /metrics``;
 * with ``tracing`` on (``repro-gpp serve --trace-requests``), each job
   records phase spans into a private tracer parented under the
-  originating request's span, and the solver itself is captured —
-  inline isolation borrows the ``OBS`` singleton for a serialized
-  window (under ``_obs_lock``), process isolation ships the context
-  into the pool worker via ``SuiteJob.trace_context`` and routes the
-  worker snapshot back through ``run_jobs(snapshot_sink=...)``.  Both
-  paths feed ``trace_sink`` (the server's absorb hook) so one request
-  yields one connected span tree.  Deep tracing serializes solves and
-  is strictly opt-in.
+  originating request's span, and the solver itself is captured: the
+  job carries its context as ``SuiteJob.trace_context`` and
+  :func:`~repro.harness.runner.run_jobs` (or the fleet worker's
+  ``run_jobs``) hands the solver snapshot back through
+  ``snapshot_sink``.  Every path feeds ``trace_sink`` (the server's
+  absorb hook) so one request yields one connected span tree.  Inline
+  deep tracing borrows the ``OBS`` singleton and so serializes solves;
+  it is strictly opt-in.
 """
 
+import contextlib
 import dataclasses
 import itertools
 import threading
@@ -74,6 +75,11 @@ JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
 #: Finished jobs beyond this many are evicted oldest-first, so a
 #: long-running server's job table cannot grow without bound.
 MAX_FINISHED_JOBS = 1024
+
+
+def _span(tracer, name, **attrs):
+    """A span of a job's private tracer, or a no-op without deep tracing."""
+    return tracer.span(name, **attrs) if tracer is not None else NOOP_SPAN
 
 
 def _pack_key(job):
@@ -187,7 +193,7 @@ class JobManager:
 
         self._cond = threading.Condition()
         self._queue = deque()           # Jobs admitted but not yet running
-        self._jobs = {}                 # id -> Job (bounded; see _evict)
+        self._jobs = {}                 # id -> Job (bounded; see _finish_locked)
         self._inflight = {}             # key -> queued/running Job
         self._finished_order = deque()  # ids of finished jobs, oldest first
         self._running = False
@@ -312,19 +318,15 @@ class JobManager:
                 )
         stored = self.store.get(key) if self.store is not None else None
         if stored is not None:
+            job = Job(key, normalized)
+            job.cached = True
+            if ctx is not None:
+                job.trace = ctx.child("job").to_wire()
             with self._cond:
-                job = Job(key, normalized)
-                if ctx is not None:
-                    job.trace = ctx.child("job").to_wire()
-                job.state = "done"
-                job.cached = True
-                job.payload = stored
-                job.finished_at = time.time()
-                job.done_event.set()
                 self._jobs[job.id] = job
-                self._record_finished_locked(job)
-            self._inc("service.store.hits")
-            self._inc("service.jobs.completed")
+                self._finish_locked(job, "done", payload=stored)
+                self._inc_locked("service.store.hits")
+                self._inc_locked("service.jobs.completed")
             self._emit(job, "cached")
             self._emit(job, "done", cached=True)
             return job, "cached"
@@ -426,16 +428,13 @@ class JobManager:
         job.finished_at = time.time()
         if self._inflight.get(job.key) is job:
             del self._inflight[job.key]
-        self._record_finished_locked(job)
-        job.done_event.set()
-        self._cond.notify_all()
-
-    def _record_finished_locked(self, job):
         self._finished_order.append(job.id)
         while len(self._finished_order) > MAX_FINISHED_JOBS:
             evicted = self._finished_order.popleft()
             if evicted != job.id:
                 self._jobs.pop(evicted, None)
+        job.done_event.set()
+        self._cond.notify_all()
 
     def _next_job(self):
         with self._cond:
@@ -488,6 +487,52 @@ class JobManager:
             else:
                 self._execute_batch(batch)
 
+    def _solver_lock(self, always=False):
+        """Serialize a solve on the process-wide ``OBS`` singleton.
+
+        The singleton (tracer span stack) is single-threaded, so a solve
+        holds the lock whenever capture is on — and ``always`` when it
+        is an inline deep-traced solve, whose capture window in
+        :func:`run_jobs` borrows the singleton.
+        """
+        return self._obs_lock if always or OBS.enabled else contextlib.nullcontext()
+
+    def _leased(self, job):
+        """A job left the queue: queue-wait sample + ``leased`` event."""
+        queue_wait = max(0.0, (job.started_at or time.time()) - job.submitted_at)
+        self._observe("service.job.queue_wait_seconds", queue_wait)
+        self._emit(job, "leased", queue_wait_s=round(queue_wait, 6))
+
+    def _store(self, job, payload, tracer=None):
+        """Write one payload to the result store (timed and counted)."""
+        if self.store is None:
+            return
+        started = time.perf_counter()
+        with _span(tracer, "store"):
+            self.store.put(job.key, payload, meta={"request": job.request})
+        store_s = time.perf_counter() - started
+        self._observe("service.job.store_seconds", store_s)
+        self._inc("service.store.writes")
+        self._emit(job, "stored", store_s=round(store_s, 6))
+
+    def _finish(self, job, payload=None, error=None, tracer=None, snap=None,
+                **attrs):
+        """The one finish tail: final state, counter, terminal event, and
+        the job's phase spans + solver snapshot for the trace sink."""
+        with self._cond:
+            if error is None:
+                self._finish_locked(job, "done", payload=payload)
+                self._inc_locked("service.jobs.completed")
+            else:
+                self._finish_locked(job, "failed", error=error)
+                self._inc_locked("service.jobs.failed")
+        if error is None:
+            self._emit(job, "done", **attrs)
+        else:
+            self._emit(job, "failed", error=error)
+        if self.trace_sink is not None and (tracer is not None or snap is not None):
+            self.trace_sink(tracer=tracer, snapshot=snap)
+
     def _execute_batch(self, jobs):
         """Run a packed group of compatible jobs as one solve.
 
@@ -499,25 +544,16 @@ class JobManager:
         path — nothing has been finished at that point, so the
         fallback is clean.
         """
-        fault_plan = self.fault_plan
-        if fault_plan is None:
-            fault_plan = fault_mod.plan_from_env()
-        if fault_plan is not None:
+        if (self.fault_plan or fault_mod.plan_from_env()) is not None:
             for job in jobs:
                 self._execute(job)
             return
         for job in jobs:
-            queue_wait = max(
-                0.0, (job.started_at or time.time()) - job.submitted_at)
-            self._observe("service.job.queue_wait_seconds", queue_wait)
-            self._emit(job, "leased", queue_wait_s=round(queue_wait, 6))
+            self._leased(job)
             self._emit(job, "solving", batched=True, group_size=len(jobs))
         try:
             suite_jobs = [request_to_job(job.request) for job in jobs]
-            serialize = OBS.enabled
-            if serialize:
-                self._obs_lock.acquire()
-            try:
+            with self._solver_lock():
                 payloads = run_jobs(
                     suite_jobs,
                     jobs=1,
@@ -526,9 +562,6 @@ class JobManager:
                     backoff=self.backoff,
                     megabatch=True,
                 )
-            finally:
-                if serialize:
-                    self._obs_lock.release()
             jsonables = [payload_to_jsonable(payload) for payload in payloads]
         except Exception:
             self._inc("service.megabatch.fallbacks")
@@ -538,14 +571,8 @@ class JobManager:
         self._inc("service.megabatch.groups")
         self._inc("service.megabatch.packed_jobs", len(jobs))
         for job, payload, jsonable in zip(jobs, payloads, jsonables):
-            if self.store is not None:
-                self.store.put(job.key, payload, meta={"request": job.request})
-                self._inc("service.store.writes")
-                self._emit(job, "stored")
-            with self._cond:
-                self._finish_locked(job, "done", payload=jsonable)
-                self._inc_locked("service.jobs.completed")
-            self._emit(job, "done", batched=True)
+            self._store(job, payload)
+            self._finish(job, payload=jsonable, batched=True)
 
     def _job_tracer(self, job):
         """Deep-tracing setup of one job: ``(private Tracer, ctx)``.
@@ -563,168 +590,102 @@ class JobManager:
         tracer.enabled = True
         return tracer, ctx
 
-    def _absorb(self, tracer, snap):
-        """Hand a job's phase spans + solver snapshot to the trace sink."""
-        if self.trace_sink is None:
-            return
-        if tracer is None and snap is None:
-            return
-        self.trace_sink(tracer=tracer, snapshot=snap)
-
-    def _solve(self, suite_job, fault_plan, solve_ctx, job):
-        """One job's solve; returns ``(payloads, solver snapshot | None)``.
-
-        ``solve_ctx`` (deep tracing only) parents the solver's spans
-        under the job's phase tree: process isolation ships it into the
-        pool worker via ``SuiteJob.trace_context`` and collects the
-        worker snapshot through ``snapshot_sink``; inline isolation
-        borrows the ``OBS`` singleton for a serialized capture window.
-        The partition payloads are bitwise-identical either way — the
-        context never enters a content key.
-
-        ``isolation="fleet"`` dispatches instead of solving: the job is
-        queued on the :class:`~repro.fleet.coordinator.FleetCoordinator`
-        and this worker thread blocks until a worker node resolves it
-        (the coordinator owns leases, heartbeat expiry, retry/backoff
-        accounting and payload validation).  Fault plans are *not*
-        applied coordinator-side — worker nodes honor their own
-        ``REPRO_FAULT`` environment, which is the whole point of the
-        worker-kill chaos story.
-        """
-        if self.isolation == "fleet":
-            return self._solve_fleet(suite_job, solve_ctx, job)
-        force_pool = self.isolation == "process"
-        kwargs = dict(jobs=1, timeout=self.timeout, retries=self.retries,
-                      backoff=self.backoff, fault_plan=fault_plan)
-        if solve_ctx is not None and force_pool:
-            shipped = dataclasses.replace(
-                suite_job, trace_context=solve_ctx.to_wire())
-            snaps = []
-            serialize = OBS.enabled
-            if serialize:
-                self._obs_lock.acquire()
-            try:
-                payloads = run_jobs([shipped], force_pool=True,
-                                    snapshot_sink=snaps.append, **kwargs)
-            finally:
-                if serialize:
-                    self._obs_lock.release()
-            return payloads, (snaps[0] if snaps else None)
-        if solve_ctx is not None:
-            with self._obs_lock:
-                if OBS.enabled:
-                    # A user capture (REPRO_TRACE) owns the singleton;
-                    # don't reset it — run plainly inside that capture.
-                    payloads = run_jobs([suite_job], force_pool=force_pool,
-                                        **kwargs)
-                    return payloads, None
-                OBS.reset()
-                OBS.enable()
-                OBS.trace.context = solve_ctx
-                try:
-                    payloads = run_jobs([suite_job], force_pool=force_pool,
-                                        **kwargs)
-                    snap = OBS.snapshot(origin=f"service/{job.id}")
-                finally:
-                    OBS.disable(reset=True)
-                return payloads, snap
-        serialize = OBS.enabled
-        if serialize:
-            # The OBS singleton (tracer span stack) is single-threaded.
-            self._obs_lock.acquire()
-        try:
-            payloads = run_jobs([suite_job], force_pool=force_pool, **kwargs)
-        finally:
-            if serialize:
-                self._obs_lock.release()
-        return payloads, None
-
-    def _solve_fleet(self, suite_job, solve_ctx, job):
-        """Dispatch one job to the fleet and wait for its resolution.
-
-        Returns the same ``(payloads, snapshot)`` shape as a local
-        solve; raises :class:`ReproError` when the fleet exhausted the
-        job's retries (the normal failed-job path picks that up).  The
-        wait is bounded only when an explicit ``timeout`` was
-        configured — a queue deeper than the worker pool legitimately
-        parks jobs for longer than any per-attempt budget.
-        """
-        trace = solve_ctx.to_wire() if solve_ctx is not None else job.trace
-        task = self.fleet.submit(
-            job.key, suite_job, job.request, trace=trace,
-            tracing=self.tracing and solve_ctx is not None, job_id=job.id,
-        )
-        deadline = None
-        if self.timeout is not None:
-            per_attempt = self.fleet.lease_ttl + float(self.timeout)
-            deadline = (self.fleet.retries + 1) * per_attempt + 10.0
-        payload, snapshot = task.wait(timeout=deadline)
-        return [payload], snapshot
+    def _run_kwargs(self):
+        """The :func:`run_jobs` knobs every local solve of this manager uses."""
+        return dict(timeout=self.timeout, retries=self.retries,
+                    backoff=self.backoff, fault_plan=self.fault_plan,
+                    force_pool=self.isolation == "process")
 
     def _execute(self, job):
-        if job.request.get("kind") == "sweep":
-            self._execute_sweep(job)
-            return
-        fault_plan = self.fault_plan
-        if fault_plan is None:
-            fault_plan = fault_mod.plan_from_env()
-        queue_wait = max(0.0, (job.started_at or time.time()) - job.submitted_at)
-        self._observe("service.job.queue_wait_seconds", queue_wait)
-        self._emit(job, "leased", queue_wait_s=round(queue_wait, 6))
+        """Run one solo job end to end: solve, finalize, store, finish."""
+        self._leased(job)
         tracer, ctx = self._job_tracer(job)
         snap = None
         try:
-            root = (tracer.span("service.job", ctx=ctx, job=job.id,
-                                circuit=job.request.get("circuit"))
-                    if tracer is not None else NOOP_SPAN)
-            with root:
-                suite_job = request_to_job(job.request)
+            with _span(tracer, "service.job", ctx=ctx, job=job.id,
+                       circuit=job.request.get("circuit")):
                 self._emit(job, "solving")
+                if job.request.get("kind") == "sweep":
+                    payload = self._solve_sweep(job, tracer)
+                else:
+                    payload, snap = self._solve(job, tracer)
                 started = time.perf_counter()
-                with (tracer.span("solve") if tracer is not None else NOOP_SPAN):
-                    solve_ctx = tracer.context if tracer is not None else None
-                    payloads, snap = self._solve(
-                        suite_job, fault_plan, solve_ctx, job)
-                solve_s = time.perf_counter() - started
-                self._observe("service.job.solve_seconds", solve_s)
-                self._emit(job, "solved", solve_s=round(solve_s, 6))
-                if job.request.get("kind") == "eco":
-                    # Edit-to-answer phase histogram + warm/cold split
-                    # of the incremental path (docs/eco.md).
-                    self._observe("service.job.eco_seconds", solve_s)
-                    info = (payloads[0] or {}).get("eco") or {}
-                    if info.get("mode") == "warm":
-                        self._inc("service.eco.warm")
-                    elif info.get("mode") == "cold":
-                        self._inc("service.eco.cold_fallbacks")
-                started = time.perf_counter()
-                with (tracer.span("finalize") if tracer is not None else NOOP_SPAN):
-                    payload = payload_to_jsonable(payloads[0])
+                with _span(tracer, "finalize"):
+                    jsonable = payload_to_jsonable(payload)
                 self._observe("service.job.finalize_seconds",
                               time.perf_counter() - started)
-                if self.store is not None:
-                    started = time.perf_counter()
-                    with (tracer.span("store") if tracer is not None else NOOP_SPAN):
-                        self.store.put(job.key, payloads[0],
-                                       meta={"request": job.request})
-                    store_s = time.perf_counter() - started
-                    self._observe("service.job.store_seconds", store_s)
-                    self._inc("service.store.writes")
-                    self._emit(job, "stored", store_s=round(store_s, 6))
+                self._store(job, payload, tracer)
         except ReproError as error:
-            with self._cond:
-                self._finish_locked(job, "failed", error=str(error))
-                self._inc_locked("service.jobs.failed")
-            self._emit(job, "failed", error=str(error))
-            self._absorb(tracer, snap)
+            self._finish(job, error=str(error), tracer=tracer, snap=snap)
             return
-        with self._cond:
-            self._finish_locked(job, "done", payload=payload)
-            self._inc_locked("service.jobs.completed")
-        self._emit(job, "done")
-        self._absorb(tracer, snap)
+        self._finish(job, payload=jsonable, tracer=tracer, snap=snap)
 
-    def _execute_sweep(self, job):
+    def _solve(self, job, tracer):
+        """One job's solve; returns ``(payload, solver snapshot | None)``.
+
+        With deep tracing the job carries the ``solve`` span's context
+        as ``SuiteJob.trace_context``; :func:`run_jobs` (or the fleet
+        worker's) captures the solver under it and hands the snapshot
+        back.  The context never enters a content key, so payloads are
+        bitwise-identical either way.
+
+        ``isolation="fleet"`` dispatches instead of solving: this
+        thread blocks until a worker node resolves the job (the
+        coordinator owns leases, heartbeat expiry, the retry ledger and
+        payload validation).  Fault plans are *not* applied here —
+        worker nodes honor their own ``REPRO_FAULT`` environment.
+        """
+        suite_job = request_to_job(job.request)
+        started = time.perf_counter()
+        with _span(tracer, "solve"):
+            solve_ctx = tracer.context if tracer is not None else None
+            if solve_ctx is not None:
+                suite_job = dataclasses.replace(
+                    suite_job, trace_context=solve_ctx.to_wire())
+            if self.isolation == "fleet":
+                payload, snap = self._solve_fleet(suite_job, job)
+            else:
+                snaps = []
+                inline_capture = solve_ctx is not None and self.isolation == "inline"
+                with self._solver_lock(always=inline_capture):
+                    payload = run_jobs(
+                        [suite_job], jobs=1,
+                        snapshot_sink=snaps.append if solve_ctx is not None else None,
+                        **self._run_kwargs(),
+                    )[0]
+                snap = snaps[0] if snaps else None
+        solve_s = time.perf_counter() - started
+        self._observe("service.job.solve_seconds", solve_s)
+        self._emit(job, "solved", solve_s=round(solve_s, 6))
+        if job.request.get("kind") == "eco":
+            # Edit-to-answer phase histogram + warm/cold split of the
+            # incremental path (docs/eco.md).
+            self._observe("service.job.eco_seconds", solve_s)
+            info = (payload or {}).get("eco") or {}
+            if info.get("mode") == "warm":
+                self._inc("service.eco.warm")
+            elif info.get("mode") == "cold":
+                self._inc("service.eco.cold_fallbacks")
+        return payload, snap
+
+    def _solve_fleet(self, suite_job, job):
+        """Dispatch one job to the fleet and wait for its resolution.
+
+        Returns the same ``(payload, snapshot)`` shape as a local solve;
+        raises :class:`ReproError` when the fleet exhausted the job's
+        retries (the normal failed-job path picks that up).  The wait is
+        bounded only when an explicit ``timeout`` was configured — a
+        queue deeper than the worker pool legitimately parks jobs for
+        longer than any per-attempt budget.
+        """
+        task = self.fleet.submit(job.key, suite_job, job.request, job_id=job.id)
+        deadline = None
+        if self.timeout is not None:
+            per_attempt = self.fleet.lease_ttl + float(self.timeout)
+            deadline = (self.fleet.policy.retries + 1) * per_attempt + 10.0
+        return task.wait(timeout=deadline)
+
+    def _solve_sweep(self, job, tracer):
         """One ``kind="sweep"`` job: fan the K x ratio grid, store points.
 
         Grid points are the exact solo partition requests a client could
@@ -734,63 +695,18 @@ class JobManager:
         """
         from repro.harness.pareto import execute_sweep
 
-        fault_plan = self.fault_plan
-        if fault_plan is None:
-            fault_plan = fault_mod.plan_from_env()
-        queue_wait = max(0.0, (job.started_at or time.time()) - job.submitted_at)
-        self._observe("service.job.queue_wait_seconds", queue_wait)
-        self._emit(job, "leased", queue_wait_s=round(queue_wait, 6))
-        tracer, ctx = self._job_tracer(job)
-        try:
-            root = (tracer.span("service.job", ctx=ctx, job=job.id,
-                                circuit=job.request.get("circuit"))
-                    if tracer is not None else NOOP_SPAN)
-            with root:
-                self._emit(job, "solving")
-                started = time.perf_counter()
-                run_kwargs = dict(timeout=self.timeout, retries=self.retries,
-                                  backoff=self.backoff, fault_plan=fault_plan,
-                                  force_pool=self.isolation == "process")
-                serialize = OBS.enabled
-                if serialize:
-                    # The OBS singleton (tracer span stack) is single-threaded.
-                    self._obs_lock.acquire()
-                try:
-                    with (tracer.span("sweep") if tracer is not None else NOOP_SPAN):
-                        payload, stats = execute_sweep(
-                            job.request, store=self.store, run_kwargs=run_kwargs)
-                finally:
-                    if serialize:
-                        self._obs_lock.release()
-                sweep_s = time.perf_counter() - started
-                self._observe("service.job.sweep_seconds", sweep_s)
-                self._inc("service.sweep.points", stats["points"])
-                self._inc("service.sweep.point_cache_hits", stats["cache_hits"])
-                self._inc("service.sweep.solved", stats["solved"])
-                self._inc("service.sweep.skipped_k", stats["skipped_k"])
-                if self.store is not None:
-                    self._inc("service.store.writes", stats["solved"])
-                self._emit(job, "solved", solve_s=round(sweep_s, 6),
-                           points=stats["points"], cache_hits=stats["cache_hits"])
-                payload = payload_to_jsonable(payload)
-                if self.store is not None:
-                    started = time.perf_counter()
-                    with (tracer.span("store") if tracer is not None else NOOP_SPAN):
-                        self.store.put(job.key, payload,
-                                       meta={"request": job.request})
-                    store_s = time.perf_counter() - started
-                    self._observe("service.job.store_seconds", store_s)
-                    self._inc("service.store.writes")
-                    self._emit(job, "stored", store_s=round(store_s, 6))
-        except ReproError as error:
-            with self._cond:
-                self._finish_locked(job, "failed", error=str(error))
-                self._inc_locked("service.jobs.failed")
-            self._emit(job, "failed", error=str(error))
-            self._absorb(tracer, None)
-            return
-        with self._cond:
-            self._finish_locked(job, "done", payload=payload)
-            self._inc_locked("service.jobs.completed")
-        self._emit(job, "done")
-        self._absorb(tracer, None)
+        started = time.perf_counter()
+        with self._solver_lock(), _span(tracer, "sweep"):
+            payload, stats = execute_sweep(
+                job.request, store=self.store, run_kwargs=self._run_kwargs())
+        sweep_s = time.perf_counter() - started
+        self._observe("service.job.sweep_seconds", sweep_s)
+        self._inc("service.sweep.points", stats["points"])
+        self._inc("service.sweep.point_cache_hits", stats["cache_hits"])
+        self._inc("service.sweep.solved", stats["solved"])
+        self._inc("service.sweep.skipped_k", stats["skipped_k"])
+        if self.store is not None:
+            self._inc("service.store.writes", stats["solved"])
+        self._emit(job, "solved", solve_s=round(sweep_s, 6),
+                   points=stats["points"], cache_hits=stats["cache_hits"])
+        return payload

@@ -53,7 +53,6 @@ def fleet_server(tmp_path, **opts):
 @contextlib.contextmanager
 def fleet_worker(server, worker_id, **opts):
     opts.setdefault("poll", 0.2)
-    opts.setdefault("store", server.service.store)
     worker = FleetWorker(server.url, worker_id=worker_id, **opts)
     thread = threading.Thread(target=worker.run, daemon=True)
     thread.start()
@@ -159,7 +158,6 @@ def test_hang_fault_loses_heartbeats_and_lease_expires_to_clean_worker(
     monkeypatch.setenv("REPRO_FAULT_HANG_SECONDS", "30")
     with fleet_server(tmp_path, lease_ttl=1.0) as (server, client):
         hung = FleetWorker(server.url, worker_id="hung", poll=0.1,
-                           store=server.service.store,
                            fault_plan=FaultPlan.parse("hang@0"))
         hung_thread = threading.Thread(target=hung.run, daemon=True)
         hung_thread.start()
@@ -207,6 +205,36 @@ def test_exhausted_fleet_job_fails_the_service_job(tmp_path):
             status = client.wait(job["id"], timeout=30.0)
     assert status["state"] == "failed"
     assert "crash" in status["error"]
+
+
+def test_coordinator_is_the_only_retry_ledger_and_keeps_failure_kinds(
+    tmp_path, monkeypatch
+):
+    """A fleet attempt is one lease: a job whose every attempt fails
+    executes exactly ``retries + 1`` times (no runner retries nested
+    inside a lease), and each attempt's taxonomy kind reaches the
+    coordinator's history instead of collapsing to ``crashed``."""
+    from repro.harness import runner
+    from repro.utils.errors import CacheCorruptError
+
+    executed = []
+
+    def poisoned(job):
+        executed.append(job.circuit)
+        raise CacheCorruptError("poisoned netlist artifact")
+
+    monkeypatch.setattr(runner, "execute_job", poisoned)
+    retries = 2
+    with fleet_server(tmp_path, retries=retries) as (server, client):
+        with fleet_worker(server, "poisoned"):
+            job = client.submit(REQ)
+            status = client.wait(job["id"], timeout=30.0)
+        counters = fleet_counters(client)
+    assert status["state"] == "failed"
+    assert len(executed) == retries + 1
+    assert counters["fleet.failures.cache-corrupt"] == retries + 1
+    assert "fleet.failures.crashed" not in counters
+    assert "attempt 1: cache-corrupt" in status["error"]
 
 
 def test_subprocess_worker_kill_chaos_converges_bitwise(tmp_path):
