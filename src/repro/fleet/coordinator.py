@@ -43,14 +43,13 @@ MAX_LEASE_WAIT = 30.0
 class FleetTask:
     """One job's journey through the fleet queue."""
 
-    __slots__ = ("key", "job", "request", "job_id", "index", "state",
-                 "attempts", "failures", "not_before", "payload", "snapshot",
-                 "error", "done_event")
+    __slots__ = ("key", "job", "job_id", "index", "state", "attempts",
+                 "failures", "not_before", "payload", "snapshot", "error",
+                 "done_event")
 
-    def __init__(self, key, job, request, job_id, index):
+    def __init__(self, key, job, job_id, index):
         self.key = key
         self.job = job                # SuiteJob (trace_context = deep capture)
-        self.request = request        # canonical request dict (store meta)
         self.job_id = job_id          # service Job id (event correlation)
         self.index = index            # submit order (JobFailure.index)
         self.state = "pending"        # pending | leased | done | failed
@@ -144,7 +143,7 @@ class FleetCoordinator:
         return self
 
     # -- JobManager side -----------------------------------------------
-    def submit(self, key, suite_job, request, job_id=None):
+    def submit(self, key, suite_job, job_id=None):
         """Queue one job for the fleet; returns its :class:`FleetTask`.
 
         Dedup by content key happens upstream in the
@@ -153,7 +152,7 @@ class FleetCoordinator:
         """
         self.start()
         with self._cond:
-            task = FleetTask(key, suite_job, request, job_id, self._index)
+            task = FleetTask(key, suite_job, job_id, self._index)
             self._index += 1
             self._pending.append(task)
             self._inc_locked("fleet.jobs.submitted")
@@ -198,7 +197,6 @@ class FleetCoordinator:
             "deadline_s": self.lease_ttl,
             "heartbeat_s": self.heartbeat_s,
             "job": job_to_wire(task.job),
-            "request": task.request,
         }
 
     def lease(self, worker_id, max_jobs=1, wait=0.0):

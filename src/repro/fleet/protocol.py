@@ -17,8 +17,7 @@ One lease grant is::
 
     {"lease": "<id>", "key": "<request key>", "attempt": n,
      "deadline_s": <ttl>, "heartbeat_s": <period>,
-     "job": <repro.harness.wire.job_to_wire dict>,
-     "request": <canonical request dict>}       # result-store meta
+     "job": <repro.harness.wire.job_to_wire dict>}
 
 The job travels in the :mod:`repro.harness.wire` form, so the worker
 executes exactly the :class:`~repro.harness.runner.SuiteJob` the

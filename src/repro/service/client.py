@@ -3,11 +3,11 @@
 :class:`ServiceClient` speaks the JSON API of
 :mod:`repro.service.server` using only ``urllib`` — scripts, tests and
 the benchmark load generator all share it.  The high-level
-:meth:`ServiceClient.partition` submits, waits (honoring 429
-``Retry-After`` backpressure with capped retries *and* a capped total
-wait) and returns the decoded payload dict with numpy labels restored —
-the same shape :func:`repro.harness.runner.execute_job` returns
-locally.
+:meth:`ServiceClient.partition` submits (honoring 429 ``Retry-After``
+backpressure with capped retries *and* a capped total wait), waits on
+one held-open status request and returns the decoded payload dict with
+numpy labels restored — the same shape
+:func:`repro.harness.runner.execute_job` returns locally.
 
 Tracing: every request carries an ``X-Repro-Trace`` header when a
 :class:`~repro.obs.context.TraceContext` is available — either passed
@@ -180,8 +180,15 @@ class ServiceClient:
             self.wait(job["id"], timeout=timeout)
         return self.result(job["id"])["result"]
 
-    def status(self, job_id):
-        return self._request("GET", f"/v1/jobs/{job_id}")[1]
+    def status(self, job_id, wait=None):
+        """The job's status dict.
+
+        With ``wait`` (seconds) the server holds the request open until
+        the job finishes or the wait runs out (capped server-side at
+        30 s), then answers the same body.
+        """
+        query = "" if wait is None else f"?wait={wait:.3f}"
+        return self._request("GET", f"/v1/jobs/{job_id}{query}")[1]
 
     def result(self, job_id):
         return self._request("GET", f"/v1/jobs/{job_id}/result")[1]
@@ -237,18 +244,27 @@ class ServiceClient:
                 waited += delay
         raise AssertionError("unreachable")
 
-    def wait(self, job_id, timeout=300.0, poll_interval=0.05):
-        """Poll until the job finishes; returns its final status dict."""
+    def wait(self, job_id, timeout=300.0):
+        """Block until the job finishes; returns its final status dict.
+
+        Each status request is a waited one (see :meth:`status`) bounded
+        by the time left before ``timeout`` and by half the socket
+        timeout, so the server answers the moment the job finishes and
+        a job of any length costs one request per window, not one per
+        poll.
+        """
         deadline = time.monotonic() + timeout
         while True:
-            status = self.status(job_id)
+            wait = max(0.0, deadline - time.monotonic())
+            if self.timeout is not None:
+                wait = min(wait, self.timeout / 2)
+            status = self.status(job_id, wait=wait)
             if status["state"] in ("done", "failed", "cancelled"):
                 return status
             if time.monotonic() >= deadline:
                 raise ReproError(
                     f"job {job_id} still {status['state']} after {timeout} s"
                 )
-            time.sleep(poll_interval)
 
     def partition(self, request_body, timeout=300.0, max_attempts=20, ctx=None):
         """Submit + wait + fetch; returns the decoded payload dict.

@@ -98,7 +98,7 @@ class Job:
 
     __slots__ = ("id", "key", "request", "state", "payload", "error",
                  "submitted_at", "started_at", "finished_at", "cached",
-                 "cancel_requested", "done_event", "seq", "trace")
+                 "cancel_requested", "seq", "trace")
 
     _seq = itertools.count()
 
@@ -114,7 +114,6 @@ class Job:
         self.finished_at = None
         self.cached = False
         self.cancel_requested = False
-        self.done_event = threading.Event()
         self.seq = next(Job._seq)
         self.trace = None  # TraceContext wire dict of the job's span
 
@@ -354,7 +353,10 @@ class JobManager:
                     self._queue.append(job)
                     depth = len(self._queue)
                     self._inc_locked("service.jobs.submitted")
-                    self._cond.notify()
+                    # notify_all: status waiters share the condition, so
+                    # a single notify could wake one of them instead of
+                    # an idle worker.
+                    self._cond.notify_all()
         if deduped is not None:
             self._emit(deduped, "deduped")
             return deduped, "deduped"
@@ -377,6 +379,23 @@ class JobManager:
                 return self._jobs[job_id]
             except KeyError:
                 raise NotFoundError(f"no such job {job_id!r}") from None
+
+    def wait(self, job_id, timeout):
+        """Block until the job finishes, at most ``timeout`` seconds.
+
+        Returns the job in whatever state it then has.  Done, failed,
+        cancelled and :meth:`stop` all ``notify_all`` the condition, so
+        a waiter wakes the moment any of them happens.  An unknown id
+        raises :class:`NotFoundError` before any wait.
+        """
+        with self._cond:
+            try:
+                job = self._jobs[job_id]
+            except KeyError:
+                raise NotFoundError(f"no such job {job_id!r}") from None
+            self._cond.wait_for(lambda: job.finished or not self._running,
+                                timeout)
+            return job
 
     def list_jobs(self):
         with self._cond:
@@ -433,7 +452,6 @@ class JobManager:
             evicted = self._finished_order.popleft()
             if evicted != job.id:
                 self._jobs.pop(evicted, None)
-        job.done_event.set()
         self._cond.notify_all()
 
     def _next_job(self):
@@ -678,7 +696,7 @@ class JobManager:
         queue deeper than the worker pool legitimately parks jobs for
         longer than any per-attempt budget.
         """
-        task = self.fleet.submit(job.key, suite_job, job.request, job_id=job.id)
+        task = self.fleet.submit(job.key, suite_job, job_id=job.id)
         deadline = None
         if self.timeout is not None:
             per_attempt = self.fleet.lease_ttl + float(self.timeout)

@@ -6,7 +6,9 @@ Routes (all JSON in, JSON out)::
                                202 queued / deduped, 200 result-store hit,
                                400 invalid, 429 + Retry-After when full
     GET  /v1/jobs              list known jobs (status dicts)
-    GET  /v1/jobs/<id>         one job's status
+    GET  /v1/jobs/<id>         one job's status; ``?wait=<s>`` holds the
+                               request open until the job finishes or
+                               min(wait, 30 s) runs out (long-poll)
     GET  /v1/jobs/<id>/result  the payload: 200 done, 409 not finished,
                                500 failed (body carries the error)
     POST /v1/jobs/<id>/cancel  best-effort cancel
@@ -54,6 +56,7 @@ bitwise-identical to a local run with the same inputs.
 
 import io
 import json
+import math
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -93,6 +96,10 @@ from repro.utils.errors import NetlistError
 #: Hard cap on accepted request bodies (a serialized netlist of the
 #: largest suite circuit is ~1.5 MB; 32 MB leaves ample headroom).
 MAX_BODY_BYTES = 32 * 1024 * 1024
+
+#: Upper bound on one waited status request (``GET /v1/jobs/<id>?wait=``),
+#: whatever the client asked for — the lease long-poll's cap.
+MAX_STATUS_WAIT = 30.0
 
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8731
@@ -199,6 +206,24 @@ def route_label(method, path):
     return "other"
 
 
+def _parse_wait(value):
+    """The ``?wait=`` query value in seconds (``0`` when absent).
+
+    Negative, non-finite and non-numeric values are a 400.
+    """
+    if value is None:
+        return 0.0
+    try:
+        seconds = float(value)
+    except ValueError:
+        seconds = math.nan
+    if not (math.isfinite(seconds) and seconds >= 0):
+        raise BadRequestError(
+            f"wait must be a finite number of seconds >= 0, got {value!r}"
+        )
+    return seconds
+
+
 class PartitionService:
     """Everything one server instance owns: manager, store, telemetry."""
 
@@ -251,6 +276,9 @@ class PartitionService:
         return self
 
     def stop(self):
+        """Admit nothing more, cancel queued jobs (which answers every
+        held status request) and join the workers."""
+        self.manager.begin_drain()
         self.manager.stop()
         if self.fleet is not None:
             self.fleet.stop()
@@ -477,8 +505,16 @@ class PartitionService:
                           "empty_diff": False}
         return status, payload
 
-    def job_status(self, job_id):
-        return 200, self.manager.get(job_id).to_dict()
+    def job_status(self, job_id, wait=None):
+        """``GET /v1/jobs/<id>[?wait=<seconds>]``: one job's status.
+
+        With a positive ``wait`` the request is held open until the job
+        reaches a terminal state or ``min(wait, MAX_STATUS_WAIT)``
+        seconds run out, then answers the same status body.  No
+        ``wait`` (or ``0``) answers at once.
+        """
+        seconds = min(_parse_wait(wait), MAX_STATUS_WAIT)
+        return 200, self.manager.wait(job_id, seconds).to_dict()
 
     def job_list(self):
         return 200, {"jobs": [job.to_dict() for job in self.manager.list_jobs()]}
@@ -487,7 +523,8 @@ class PartitionService:
         job = self.manager.get(job_id)
         if job.state in ("queued", "running"):
             raise ConflictError(
-                f"job {job_id} is {job.state}; poll status until it finishes"
+                f"job {job_id} is {job.state}; wait on its status "
+                f"(GET /v1/jobs/{job_id}?wait=<seconds>) until it finishes"
             )
         if job.state == "cancelled":
             raise ConflictError(f"job {job_id} was cancelled")
@@ -758,6 +795,11 @@ class _Handler(BaseHTTPRequestHandler):
                 duration_s=time.perf_counter() - started,
             )
 
+    def _query(self, name):
+        """The first value of query parameter ``name``, or ``None``."""
+        query = self.path.split("?", 1)[1] if "?" in self.path else ""
+        return (parse_qs(query).get(name) or [None])[0]
+
     def _wants_exposition(self):
         """Content negotiation of ``GET /metrics``.
 
@@ -766,8 +808,7 @@ class _Handler(BaseHTTPRequestHandler):
         asks for ``text/plain`` without also accepting JSON wins.  The
         default stays JSON — existing clients see no change.
         """
-        query = self.path.split("?", 1)[1] if "?" in self.path else ""
-        fmt = (parse_qs(query).get("format") or [""])[0].lower()
+        fmt = (self._query("format") or "").lower()
         if fmt in ("prometheus", "text", "exposition"):
             return True
         if fmt == "json":
@@ -793,7 +834,9 @@ class _Handler(BaseHTTPRequestHandler):
             if parts == ["v1", "jobs"]:
                 return self._send_json(*self.service.job_list())
             if len(parts) == 3 and parts[:2] == ["v1", "jobs"]:
-                return self._send_json(*self.service.job_status(parts[2]))
+                return self._send_json(
+                    *self.service.job_status(parts[2], wait=self._query("wait"))
+                )
             if len(parts) == 4 and parts[:2] == ["v1", "jobs"] and parts[3] == "result":
                 return self._send_json(*self.service.job_result(parts[2]))
             if len(parts) == 4 and parts[:2] == ["v1", "jobs"] and parts[3] == "events":
@@ -860,8 +903,10 @@ class PartitionHTTPServer(ThreadingHTTPServer):
         return f"http://{host}:{port}"
 
     def shutdown(self):
-        super().shutdown()
+        # Service first: stopping it releases every held status request
+        # while the listener is still up to answer it.
         self.service.stop()
+        super().shutdown()
 
 
 def build_server(host=None, port=None, verbose=False, **service_opts):

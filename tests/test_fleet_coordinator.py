@@ -11,6 +11,7 @@ import pytest
 from repro.fleet.coordinator import FleetCoordinator
 from repro.harness.checkpoint import payload_to_jsonable
 from repro.harness.runner import execute_job
+from repro.harness.wire import job_from_wire
 from repro.obs import MetricsRegistry
 from repro.service.api import request_key, request_to_job, validate_request
 from repro.utils.errors import ReproError
@@ -37,8 +38,8 @@ def make_coordinator(**kwargs):
 
 
 def submit(coordinator, solved):
-    normalized, key, job, _payload = solved
-    return coordinator.submit(key, job, normalized, job_id="job-1")
+    _normalized, key, job, _payload = solved
+    return coordinator.submit(key, job, job_id="job-1")
 
 
 def test_lease_grant_carries_the_wire_job_and_attempt(solved):
@@ -52,7 +53,7 @@ def test_lease_grant_carries_the_wire_job_and_attempt(solved):
         assert grant["attempt"] == 1
         assert grant["deadline_s"] == 30.0
         assert grant["job"]["circuit"] == "KSA4"
-        assert grant["request"]["seed"] == 31
+        assert job_from_wire(grant["job"]).seed == 31
         # nothing else to grant
         assert coordinator.lease("w1") == []
     finally:
@@ -187,11 +188,11 @@ def test_backoff_gates_the_requeued_job(solved):
 
 
 def test_roster_tracks_multiple_workers(solved):
-    normalized, key, job, _payload = solved
+    _normalized, key, job, _payload = solved
     coordinator = make_coordinator()
     try:
-        coordinator.submit(key, job, normalized)
-        coordinator.submit(key + "x", job, normalized)
+        coordinator.submit(key, job)
+        coordinator.submit(key + "x", job)
         first = coordinator.lease("w1")[0]
         coordinator.lease("w2")
         snapshot = coordinator.workers_snapshot()

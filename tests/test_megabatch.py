@@ -255,7 +255,7 @@ def test_job_manager_megabatch_drains_compatible_queue():
         mgr.start()
         try:
             for job in jobs:
-                assert job.done_event.wait(120)
+                assert mgr.wait(job.id, 120).finished
                 assert job.state == "done"
         finally:
             mgr.stop()
@@ -298,7 +298,7 @@ def test_job_manager_packs_seed_variants_around_a_queued_sweep():
     mgr.start()
     try:
         for job in jobs:
-            assert job.done_event.wait(120)
+            assert mgr.wait(job.id, 120).finished
             assert job.state == "done", job.error
     finally:
         mgr.stop()

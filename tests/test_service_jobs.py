@@ -1,5 +1,7 @@
 """Tests for the job manager: queueing, dedup, backpressure, faults."""
 
+import time
+
 import pytest
 
 from repro.harness.faults import FaultPlan
@@ -28,7 +30,7 @@ def test_submit_executes_and_completes(manager):
     key, normalized = _request()
     job, outcome = manager.submit(key, normalized)
     assert outcome == "queued"
-    assert job.done_event.wait(60)
+    assert manager.wait(job.id, 60).finished
     assert job.state == "done"
     assert job.payload["circuit"] == "KSA4"
     assert all(isinstance(label, int) for label in job.payload["labels"])
@@ -63,7 +65,7 @@ def test_store_hit_short_circuits_queue(tmp_path):
     try:
         key, normalized = _request()
         first, _ = mgr.submit(key, normalized)
-        assert first.done_event.wait(60)
+        assert mgr.wait(first.id, 60).finished
         second, outcome = mgr.submit(key, normalized)
         assert outcome == "cached"
         assert second.state == "done"
@@ -71,6 +73,19 @@ def test_store_hit_short_circuits_queue(tmp_path):
         assert second.payload == first.payload
     finally:
         mgr.stop()
+
+
+def test_wait_rejects_unknown_ids_and_never_parks_on_a_stopped_manager():
+    mgr = JobManager(workers=1, queue_size=2)
+    with pytest.raises(NotFoundError):
+        mgr.wait("no-such-id", 10)
+    # Not started: the job stays queued and the wait returns at once.
+    key, normalized = _request()
+    job, _ = mgr.submit(key, normalized)
+    began = time.monotonic()
+    assert mgr.wait(job.id, 10) is job
+    assert job.state == "queued"
+    assert time.monotonic() - began < 1.0
 
 
 def test_cancel_queued_job():
@@ -89,14 +104,14 @@ def test_injected_crash_fails_cleanly(manager):
     manager.fault_plan = FaultPlan.parse("crash@0x5")  # outlasts retries=0
     key, normalized = _request(seed=77)
     job, _ = manager.submit(key, normalized)
-    assert job.done_event.wait(60)
+    assert manager.wait(job.id, 60).finished
     assert job.state == "failed"
     assert "crash" in job.error
     # The worker survives a failed job and keeps serving.
     manager.fault_plan = None
     key2, norm2 = _request(seed=78)
     job2, _ = manager.submit(key2, norm2)
-    assert job2.done_event.wait(60)
+    assert manager.wait(job2.id, 60).finished
     assert job2.state == "done"
 
 
@@ -106,7 +121,7 @@ def test_injected_crash_recovers_via_retry(tmp_path):
     try:
         key, normalized = _request(seed=79)
         job, _ = mgr.submit(key, normalized)
-        assert job.done_event.wait(60)
+        assert mgr.wait(job.id, 60).finished
         assert job.state == "done"
     finally:
         mgr.stop()
@@ -117,7 +132,7 @@ def test_injected_hang_times_out_cleanly(manager):
     manager.fault_plan = FaultPlan.parse("hang@0x5")
     key, normalized = _request(seed=80)
     job, _ = manager.submit(key, normalized)
-    assert job.done_event.wait(60)
+    assert manager.wait(job.id, 60).finished
     assert job.state == "failed"
     assert "timed-out" in job.error or "hang" in job.error
 
@@ -128,7 +143,7 @@ def test_metrics_counters():
     try:
         key, normalized = _request(seed=81)
         job, _ = mgr.submit(key, normalized)
-        assert job.done_event.wait(60)
+        assert mgr.wait(job.id, 60).finished
         data = metrics.as_dict()
         assert data["service.jobs.submitted"]["value"] == 1
         assert data["service.jobs.completed"]["value"] == 1

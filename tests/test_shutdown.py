@@ -5,19 +5,23 @@ A loop that sleeps instead of waiting on its stop signal makes
 the thread.  Each case starts one loop with a long interval, stops it
 and requires the thread to be gone within :data:`STOP_BUDGET_S`.  The
 server process itself must drain and exit on SIGTERM within
-:data:`DRAIN_BUDGET_S`.
+:data:`DRAIN_BUDGET_S`, answering a held status request on a job still
+in flight.
 """
 
+import contextlib
 import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
 
 from repro.fleet.coordinator import FleetCoordinator
 from repro.fleet.worker import FleetWorker
+from repro.service.client import ServiceClient
 from repro.service.jobs import JobManager
 
 STOP_BUDGET_S = 0.5
@@ -59,13 +63,13 @@ def test_background_loop_stops_promptly(start):
     assert elapsed < STOP_BUDGET_S
 
 
-#: Wall-clock budget from SIGTERM to exit of an idle ``repro-gpp serve``.
+#: Wall-clock budget from SIGTERM to exit of ``repro-gpp serve``.
 DRAIN_BUDGET_S = 10.0
 
 
-def test_sigterm_drains_an_idle_server_and_exits_zero(tmp_path):
-    """``repro-gpp serve`` turns SIGTERM into a graceful drain: with no
-    job in flight it reports a clean drain and exits 0 promptly."""
+@contextlib.contextmanager
+def serve_process(tmp_path):
+    """``repro-gpp serve --port 0`` as a subprocess: ``(process, url)``."""
     env = dict(os.environ)
     env.update({
         "PYTHONPATH": os.path.join(os.path.dirname(__file__), "..", "src"),
@@ -78,14 +82,47 @@ def test_sigterm_drains_an_idle_server_and_exits_zero(tmp_path):
     try:
         ready = server.stdout.readline()
         assert "listening on" in ready, ready
-        began = time.monotonic()
-        server.send_signal(signal.SIGTERM)
-        output, _ = server.communicate(timeout=DRAIN_BUDGET_S)
-        elapsed = time.monotonic() - began
+        yield server, ready.rsplit(" ", 1)[-1].strip()
     finally:
         if server.poll() is None:
             server.kill()
             server.communicate()
+
+
+def _sigterm(server):
+    """SIGTERM, then ``(stdout, seconds to exit)``."""
+    began = time.monotonic()
+    server.send_signal(signal.SIGTERM)
+    output, _ = server.communicate(timeout=DRAIN_BUDGET_S)
+    return output, time.monotonic() - began
+
+
+def test_sigterm_drains_an_idle_server_and_exits_zero(tmp_path):
+    """``repro-gpp serve`` turns SIGTERM into a graceful drain: with no
+    job in flight it reports a clean drain and exits 0 promptly."""
+    with serve_process(tmp_path) as (server, _url):
+        output, elapsed = _sigterm(server)
+    assert "drained cleanly" in output, output
+    assert server.returncode == 0
+    assert elapsed < DRAIN_BUDGET_S
+
+
+def test_sigterm_drain_answers_a_waiter_on_a_job_in_flight(tmp_path):
+    """SIGTERM with a job in flight: the drain lets it finish, the held
+    status request on it is answered ``done``, then the process exits 0
+    within :data:`DRAIN_BUDGET_S`."""
+    with serve_process(tmp_path) as (server, url):
+        client = ServiceClient(url, timeout=60.0)
+        # C3540 from a cold cache runs for several hundred ms.
+        job = client.submit({"circuit": "C3540", "num_planes": 5, "seed": 7})
+        answers = []
+        waiter = threading.Thread(target=lambda: answers.append(
+            client.wait(job["id"], timeout=DRAIN_BUDGET_S)))
+        waiter.start()
+        assert client.status(job["id"])["state"] in ("queued", "running")
+        output, elapsed = _sigterm(server)
+        waiter.join(DRAIN_BUDGET_S)
+    assert answers and answers[0]["state"] == "done", answers
     assert "drained cleanly" in output, output
     assert server.returncode == 0
     assert elapsed < DRAIN_BUDGET_S
